@@ -63,6 +63,11 @@ class CheckOptions:
     occupation_fraction: float = 0.1
     deltas: tuple | None = None
 
+    def __post_init__(self):
+        values = [self.tol_l2, self.tol_h, self.decay_target, self.occupation_fraction]
+        if not all(math.isfinite(v) for v in values + list(self.deltas or ())):
+            raise ValueError("check options must be finite")
+
 
 @dataclass
 class RunManifest:
@@ -74,6 +79,7 @@ class RunManifest:
     finished: str = ""
     outputs: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
 
     def write(self, path):
         with open(path, "w") as handle:
@@ -119,13 +125,12 @@ def load_config(path, overrides=()):
             tuple(m) for m in solver_kwargs["init_modes"]
         )
     check_kwargs = {k: v for k, v in data.items() if k in _CHECK_KEYS}
-    if check_kwargs.get("deltas") is not None:
-        check_kwargs["deltas"] = tuple(float(d) for d in check_kwargs["deltas"])
     try:
-        cfg = SolverConfig(**solver_kwargs)
+        if check_kwargs.get("deltas") is not None:
+            check_kwargs["deltas"] = tuple(float(d) for d in check_kwargs["deltas"])
+        return SolverConfig(**solver_kwargs), CheckOptions(**check_kwargs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
-    return cfg, CheckOptions(**check_kwargs)
 
 
 def _config_dict(cfg):
@@ -136,6 +141,8 @@ def _config_dict(cfg):
 
 
 def _write_run_outputs(outdir, record, manifest):
+    if record.cancellation is not None:
+        manifest.stats["max_advection_pairing"] = float(record.cancellation.max())
     series_path = os.path.join(outdir, "series.csv")
     record.series.to_csv(series_path)
     manifest.outputs.append(series_path)
@@ -367,7 +374,12 @@ def cmd_sweep(args):
     }
     axes = [(name, list(grid[name])) for name in _SWEEP_AXES if name in grid]
     combos = list(itertools.product(*(vals for _, vals in axes))) or [()]
-    max_jobs = int(spec.get("max_jobs", 64))
+    try:
+        max_jobs = int(spec.get("max_jobs", 64))
+        workers = int(os.environ.get("SQGLAB_WORKERS", "1"))
+    except (TypeError, ValueError) as exc:
+        print(f"max_jobs and SQGLAB_WORKERS must be integers: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if len(combos) > max_jobs:
         print(
             f"sweep of {len(combos)} runs exceeds max_jobs={max_jobs}", file=sys.stderr
@@ -378,7 +390,6 @@ def cmd_sweep(args):
         (base, {name: value for (name, _), value in zip(axes, combo)}, checks)
         for combo in combos
     ]
-    workers = int(os.environ.get("SQGLAB_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))

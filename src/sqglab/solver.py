@@ -15,7 +15,7 @@ modeling assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .norms import inhom_norm, parseval_weight
 from .spectral import (
     SpectralField,
     _advection_coeffs,
+    _expand_half,
     dealias,
     make_lattice,
 )
@@ -107,6 +108,10 @@ class SolverConfig:
     init_norm_rel: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         if not self.dt > 0:
@@ -216,19 +221,29 @@ class TrajectoryRecord:
 
 
 class _Stepper:
-    """Integrating-factor RK4 kernel with cached exponential multipliers."""
+    """Integrating-factor RK4 kernel on the rfft2 half spectrum.
 
-    def __init__(self, lattice, alpha, nonlinear):
+    States, tendencies and the dissipation symbol are (n, n//2 + 1) arrays.
+    Only the exponential multipliers of the configured step ``dt`` are
+    cached; a step shortened by the CFL bound or by the horizon computes its
+    own, so memory does not grow with the number of short steps.
+    """
+
+    def __init__(self, lattice, alpha, nonlinear, dt):
         self.lattice = lattice
         self.nonlinear = nonlinear
-        self.symbol = lattice.symbol_power(2.0 * alpha)
+        self.dt = dt
+        self.symbol = np.ascontiguousarray(
+            lattice.symbol_power(2.0 * alpha)[:, : lattice.n // 2 + 1]
+        )
         self._factors = {}
 
     def factors(self, dt):
         cached = self._factors.get(dt)
         if cached is None:
             cached = (np.exp(-dt * self.symbol), np.exp(-0.5 * dt * self.symbol))
-            self._factors[dt] = cached
+            if dt == self.dt:
+                self._factors[dt] = cached
         return cached
 
     def tendency(self, coeffs):
@@ -236,7 +251,7 @@ class _Stepper:
         if not self.nonlinear:
             return None, 0.0
         adv, umax = _advection_coeffs(self.lattice, coeffs, coeffs)
-        return -adv, umax
+        return np.negative(adv, out=adv), umax
 
     def advance(self, coeffs, dt, k1=None):
         full, half = self.factors(dt)
@@ -259,21 +274,29 @@ def nonlinear_term(theta):
 
 def step(theta, cfg):
     """Advance one step of cfg.dt (caller guarantees the CFL precondition)."""
-    stepper = _Stepper(theta.lattice, cfg.alpha, cfg.nonlinear)
-    out = stepper.advance(theta.coeffs, cfg.dt)
+    lat = theta.lattice
+    stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
+    out = stepper.advance(theta.coeffs[:, : lat.n // 2 + 1], cfg.dt)
     if not np.isfinite(out).all():
         raise BlowupError("non-finite coefficients after one step", None)
-    return SpectralField(theta.lattice, out)
+    return SpectralField(lat, _expand_half(out, lat.n))
 
 
-def _tracked_norms(lat, coeffs, alpha):
-    w = parseval_weight(lat)
-    mag2 = np.abs(coeffs) ** 2
-    l2sq = w * float(np.sum(mag2))
-    hasq = w * float(np.sum(lat.symbol_power(2.0 * alpha) * mag2))
-    hcsq = w * float(np.sum(lat.symbol_power(2.0 * (2.0 - 2.0 * alpha)) * mag2))
-    hhsq = w * float(np.sum(lat.symbol_power(2.0 * (2.0 - alpha)) * mag2))
-    return l2sq, hasq, hcsq, hhsq
+def _half_norm_weights(lat, alpha):
+    """Weights turning |c|^2 on the half spectrum into squared norms.
+
+    One (n, n//2 + 1) array per tracked norm: L2, Hdot^a, Hdot^(2-2a),
+    Hdot^(2-a), then Hdot^1 for the pairing's normalisation.  Each carries
+    the Parseval weight and the column weight of the half spectrum: 1 on the
+    self-paired columns 0 and n/2, 2 on the others, which stand for
+    themselves and their conjugate mirror.
+    """
+    m = lat.n // 2 + 1
+    column = np.full(m, 2.0)
+    column[0] = column[-1] = 1.0
+    scale = parseval_weight(lat) * column
+    orders = (0.0, alpha, 2.0 - 2.0 * alpha, 2.0 - alpha, 1.0)
+    return [scale * lat.symbol_power(2.0 * s)[:, :m] for s in orders]
 
 
 def simulate(theta0, cfg):
@@ -284,15 +307,20 @@ def simulate(theta0, cfg):
     with :class:`BlowupError` (carrying the partial record) if coefficients
     stop being finite or the critical norm exceeds ``blowup_factor`` times
     its initial value.
+
+    The state advances on the rfft2 half spectrum; snapshots and the final
+    field are expanded to the full (n, n) layout.  With
+    ``track_cancellation`` the tendency evaluated for the pairing at a
+    sample is reused as the first RK4 stage of the next step.
     """
     lat = theta0.lattice
     if lat.n != cfg.n or lat.box_len != cfg.box_len:
         raise ValueError("initial field lattice does not match the configuration")
 
     theta = dealias(theta0) if cfg.nonlinear else theta0.copy()
-    coeffs = theta.coeffs.copy()
-    stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear)
-    weight = parseval_weight(lat)
+    coeffs = theta.coeffs[:, : lat.n // 2 + 1].copy()
+    stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
+    w_l2, w_ha, w_hc, w_hh, w_h1 = _half_norm_weights(lat, cfg.alpha)
 
     times = []
     norm_rows = []
@@ -305,10 +333,14 @@ def simulate(theta0, cfg):
     d_l2 = 0.0
     d_h = 0.0
     sample_index = 0
+    next_k1 = None  # (tendency, max|u|) at the current state, if already known
 
     def record_sample(t_now, coeffs_now):
-        nonlocal d_l2, d_h, sample_index
-        l2sq, hasq, hcsq, hhsq = _tracked_norms(lat, coeffs_now, cfg.alpha)
+        nonlocal d_l2, d_h, sample_index, next_k1
+        mag2 = coeffs_now.real**2 + coeffs_now.imag**2
+        l2sq, hasq, hcsq, hhsq = (
+            float(np.sum(w * mag2)) for w in (w_l2, w_ha, w_hc, w_hh)
+        )
         if times:
             dt_s = t_now - times[-1]
             prev = norm_rows[-1]
@@ -321,20 +353,18 @@ def simulate(theta0, cfg):
         if cancel is not None:
             # advection pairing normalized by ||theta||_{L2} ||theta||_{H1}^2;
             # zero to round-off when dealiasing is exact
-            tend, _ = stepper.tendency(coeffs_now)
+            next_k1 = stepper.tendency(coeffs_now)
+            tend = next_k1[0]
             if tend is None or l2sq == 0.0:
                 cancel.append(0.0)
             else:
-                pairing = abs(
-                    weight * float(np.real(np.sum(tend * np.conj(coeffs_now))))
-                )
-                h1sq = l2sq + weight * float(
-                    np.sum(lat.symbol_power(2.0) * np.abs(coeffs_now) ** 2)
-                )
+                cross = tend.real * coeffs_now.real + tend.imag * coeffs_now.imag
+                pairing = abs(float(np.sum(w_l2 * cross)))
+                h1sq = l2sq + float(np.sum(w_h1 * mag2))
                 cancel.append(pairing / (math.sqrt(l2sq) * h1sq))
         if cfg.snapshot_every and sample_index % cfg.snapshot_every == 0:
             snapshot_times.append(t_now)
-            snapshots.append(SpectralField(lat, coeffs_now.copy()))
+            snapshots.append(SpectralField(lat, _expand_half(coeffs_now, lat.n)))
         sample_index += 1
         return math.sqrt(l2sq + hcsq)
 
@@ -359,7 +389,7 @@ def simulate(theta0, cfg):
             snapshot_times=snapshot_times,
             snapshots=snapshots,
             initial=theta.copy(),
-            final=SpectralField(lat, coeffs.copy()),
+            final=SpectralField(lat, _expand_half(coeffs, lat.n)),
             cancellation=None if cancel is None else np.asarray(cancel),
             aborted=aborted,
             abort_reason=reason,
@@ -369,7 +399,10 @@ def simulate(theta0, cfg):
     step_index = 0
     horizon = cfg.t_end * (1.0 - 1e-12)
     while t < horizon:
-        k1, umax = stepper.tendency(coeffs)
+        if next_k1 is None:
+            k1, umax = stepper.tendency(coeffs)
+        else:
+            (k1, umax), next_k1 = next_k1, None
         dt_now = min(cfg.dt, cfg.t_end - t)
         if cfg.nonlinear and umax > 0.0:
             bound = cfg.cfl * lat.spacing / umax
@@ -398,7 +431,7 @@ def simulate(theta0, cfg):
 
     if cfg.snapshot_every and snapshot_times and snapshot_times[-1] < times[-1]:
         snapshot_times.append(times[-1])
-        snapshots.append(SpectralField(lat, coeffs.copy()))
+        snapshots.append(SpectralField(lat, _expand_half(coeffs, lat.n)))
     return build_record()
 
 

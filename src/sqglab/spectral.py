@@ -8,11 +8,15 @@ Conventions (fixed for the whole package, see README):
   ``n**2`` (numpy's default);
 * the wavenumber of mode (j1, j2) is ``(2*pi/box_len) * (j1, j2)``;
 * mode (0, 0) is pinned to zero: all fields are mean-free, which keeps
-  negative powers of |D| and negative-order norms well defined.
+  negative powers of |D| and negative-order norms well defined;
+* quadratic terms are computed on the ``rfft2`` half spectrum, shape
+  (n, n//2 + 1), by one kernel (:func:`_quadratic_coeffs`); every public
+  function takes and returns the full (n, n) layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +57,11 @@ class FrequencyLattice:
     kx, ky, k2, kmag
         wavenumber components, |xi|^2 and |xi|.
     dealias_mask
-        2/3-rule mask, True iff |j1| <= n//3 and |j2| <= n//3.  The mask is
-        symmetric under j -> -j, so it preserves conjugate symmetry.
+        2/3-rule mask, True iff |j1| <= K and |j2| <= K with K = (n-1)//3.
+        A product of two kept modes reaches |j| <= 2K, and its alias
+        2K - n lands outside the kept band because 3K < n, so quadratic
+        terms are alias-free for every even n.  The mask is symmetric under
+        j -> -j, so it preserves conjugate symmetry.
     """
 
     n: int
@@ -70,8 +77,8 @@ class FrequencyLattice:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"lattice size must be even and >= 8, got {self.n}")
-        if not self.box_len > 0:
-            raise ValueError(f"box_len must be positive, got {self.box_len}")
+        if not (self.box_len > 0 and math.isfinite(self.box_len)):
+            raise ValueError(f"box_len must be positive and finite, got {self.box_len}")
         j = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
         j1, j2 = np.meshgrid(j, j, indexing="ij")
         step = 2.0 * np.pi / self.box_len
@@ -82,7 +89,7 @@ class FrequencyLattice:
         k2 = (step * j1) ** 2 + (step * j2) ** 2
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", np.sqrt(k2))
-        keep = self.n // 3
+        keep = (self.n - 1) // 3
         mask = (np.abs(j1) <= keep) & (np.abs(j2) <= keep)
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "_symbol_cache", {})
@@ -205,9 +212,10 @@ def fractional_power(f, s):
 def _zero_nyquist(coeffs, n):
     # odd (imaginary) symbols on the unpaired Nyquist row/column would break
     # conjugate symmetry; zeroing them keeps physical fields real
+    # (column n/2 is also the last column of an rfft2 half spectrum)
     ny = n // 2
-    coeffs[ny, :] = 0.0
-    coeffs[:, ny] = 0.0
+    coeffs[..., ny, :] = 0.0
+    coeffs[..., :, ny] = 0.0
     return coeffs
 
 
@@ -287,9 +295,10 @@ def multiply(f, g):
     quadratic term in the package.
     """
     f._check(g)
-    prod = inverse_transform(f) * inverse_transform(g)
-    out = np.fft.fft2(prod) * f.lattice.dealias_mask
-    return SpectralField(f.lattice, out)
+    lat = f.lattice
+    m = lat.n // 2 + 1
+    out, _ = _quadratic_coeffs(lat, f.coeffs[None, :, :m], g.coeffs[None, :, :m])
+    return SpectralField(lat, _expand_half(out, lat.n))
 
 
 def advect(w, theta):
@@ -300,19 +309,74 @@ def advect(w, theta):
     rule and mean-freed.  Since div(u_w) = 0 this equals div(theta * u_w).
     """
     w._check(theta)
-    coeffs, _ = _advection_coeffs(w.lattice, w.coeffs, theta.coeffs)
-    return SpectralField(w.lattice, coeffs)
+    lat = w.lattice
+    m = lat.n // 2 + 1
+    coeffs, _ = _advection_coeffs(lat, w.coeffs[:, :m], theta.coeffs[:, :m])
+    return SpectralField(lat, _expand_half(coeffs, lat.n))
 
 
-def _advection_coeffs(lat, w_coeffs, theta_coeffs):
-    """Raw advection kernel; also returns max |u| for CFL bookkeeping."""
-    u1, u2 = _riesz_coeffs(lat, w_coeffs)
-    gx = _zero_nyquist(1j * lat.kx * theta_coeffs, lat.n)
-    gy = _zero_nyquist(1j * lat.ky * theta_coeffs, lat.n)
-    u1p = np.fft.ifft2(u1).real
-    u2p = np.fft.ifft2(u2).real
-    prod = u1p * np.fft.ifft2(gx).real + u2p * np.fft.ifft2(gy).real
-    out = np.fft.fft2(prod) * lat.dealias_mask
-    out[0, 0] = 0.0
-    umax = float(np.sqrt(u1p**2 + u2p**2).max())
+def _expand_half(half, n):
+    """Full (n, n) spectrum from the rfft2 half spectrum (n, n//2 + 1).
+
+    Columns -n/2+1 .. -1 are the conjugate mirror c(-j) = conj(c(j)) of
+    columns n/2-1 .. 1.  The self-paired columns 0 and n/2 take their rows
+    n/2+1 .. n-1 from rows n/2-1 .. 1 the same way, so the result is exactly
+    conjugate-symmetric whenever its four self-paired modes are real.
+    """
+    m = n // 2 + 1
+    mirror = np.conj(np.roll(half[::-1], 1, axis=0))  # row j1 -> -j1
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, :m] = half
+    full[:, m:] = mirror[:, m - 2 : 0 : -1]
+    full[m:, 0] = mirror[m:, 0]
+    full[m:, m - 1] = mirror[m:, m - 1]
+    return full
+
+
+def _half_multipliers(lat):
+    """Riesz velocity and gradient symbols on the half spectrum, and its mask.
+
+    ``velocity`` and ``grad`` stack the two components, shape
+    (2, n, n//2 + 1), with the Nyquist row and column and mode (0, 0)
+    zeroed; ``mask`` is the 2/3-rule mask with mode (0, 0) removed.  Built
+    once per lattice.
+    """
+    cached = lat._symbol_cache.get("half-multipliers")
+    if cached is None:
+        m = lat.n // 2 + 1
+        inv = lat.symbol_power(-1.0)[:, :m]
+        kx, ky = lat.kx[:, :m], lat.ky[:, :m]
+        velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), lat.n)
+        grad = _zero_nyquist(np.stack([1j * kx, 1j * ky]), lat.n)
+        mask = lat.dealias_mask[:, :m].copy()
+        mask[0, 0] = False
+        cached = (velocity, grad, mask)
+        lat._symbol_cache["half-multipliers"] = cached
+    return cached
+
+
+def _quadratic_coeffs(lat, left, right):
+    """The one kernel for quadratic terms, on the rfft2 half spectrum.
+
+    ``left`` and ``right`` stack k half spectra each, shape (k, n, n//2 + 1).
+    Both go to physical space, sum_i left_i * right_i is formed pointwise,
+    transformed forward, masked with the 2/3 rule and mean-freed.  Returns
+    the half-spectrum result and the physical ``left`` factors.
+    """
+    shape = (lat.n, lat.n)
+    left_p = np.fft.irfft2(left, s=shape)
+    right_p = np.fft.irfft2(right, s=shape)
+    prod = left_p[0] * right_p[0]
+    for a, b in zip(left_p[1:], right_p[1:]):
+        prod += a * b
+    out = np.fft.rfft2(prod)
+    out *= _half_multipliers(lat)[2]
+    return out, left_p
+
+
+def _advection_coeffs(lat, w_half, theta_half):
+    """Advection kernel on half spectra; also returns max |u| for CFL bookkeeping."""
+    velocity, grad, _ = _half_multipliers(lat)
+    out, (u1, u2) = _quadratic_coeffs(lat, velocity * w_half, grad * theta_half)
+    umax = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
     return out, umax

@@ -30,7 +30,7 @@ def circular_convolution(F, G):
 
 def dealias_mask(n):
     j1, j2 = integer_modes(n)
-    keep = n // 3
+    keep = (n - 1) // 3  # 3*keep < n: alias-free for every even n
     return (np.abs(j1) <= keep) & (np.abs(j2) <= keep)
 
 

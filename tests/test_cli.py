@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from sqglab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_GATE,
@@ -110,6 +112,38 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["t_end"] == 0.1
+
+    @pytest.mark.parametrize(
+        "override", ["t_end=Infinity", "box_len=Infinity", "blowup_factor=NaN"]
+    )
+    def test_non_finite_value_exits_usage(self, tmp_path, override):
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out), "--set", override]) == EXIT_USAGE
+
+    def test_manifest_reports_the_advection_pairing(self, tmp_path):
+        from sqglab.cli import load_config
+        from sqglab import initial_field, simulate
+
+        cfg_path = write_config(tmp_path / "run.json", track_cancellation=True)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg, _ = load_config(cfg_path)
+        record = simulate(initial_field(cfg), cfg)
+        pairing = manifest["stats"]["max_advection_pairing"]
+        assert pairing == float(record.cancellation.max())
+        assert pairing <= 1e-10
+        # the pinned series layout is unchanged by the tracking
+        series = (out / "series.csv").read_text().splitlines()
+        assert series[0] == "t,L2,Ha,H2m2a_hom,H2m2a,H2ma,D_L2,D_H"
+
+    def test_untracked_run_reports_no_pairing(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "max_advection_pairing" not in manifest["stats"]
 
 
 class TestVerifyCommand:
@@ -254,6 +288,11 @@ class TestSweepCommand:
         monkeypatch.setenv("SQGLAB_WORKERS", "2")
         assert main(["sweep", str(path), "--out", str(parallel)]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_non_integer_worker_count_exits_usage(self, tmp_path, monkeypatch):
+        path = self.make_spec(tmp_path, grid={"alpha": [0.2, 0.3]})
+        monkeypatch.setenv("SQGLAB_WORKERS", "two")
+        assert main(["sweep", str(path), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
 
     def test_partial_failures_are_recorded_per_row(self, tmp_path):
         # n = 15 is rejected by the lattice; the row errors, the sweep finishes

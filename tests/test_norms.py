@@ -121,9 +121,7 @@ class TestScalarProduct:
             scalar_product(f, f, 0.0, homogeneous=False)
 
     def test_advection_pairing_cancels(self):
-        # <u_theta . grad theta, theta>_{L2} = 0 for dealiased fields; exact
-        # dealiasing needs n - 2*floor(n/3) > floor(n/3), i.e. 3 must not
-        # divide n
+        # <u_theta . grad theta, theta>_{L2} = 0 for dealiased fields
         lat = make_lattice(32, TWO_PI)
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -131,6 +129,18 @@ class TestScalarProduct:
             pairing = scalar_product(nonlinear_term(theta), theta, 0.0)
             scale = hom_norm(theta, 0.0) * inhom_norm(theta, 1.0) ** 2
             assert abs(pairing) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_advection_pairing_cancels_when_3_divides_n(self, n):
+        # the 2/3 mask keeps |j| <= (n-1)//3, which is alias-free for these n
+        # too; rough fields (flat spectrum) would expose any aliasing
+        lat = make_lattice(n, TWO_PI)
+        rng = np.random.default_rng(4)
+        for slope in (0.0, 2.0):
+            theta = gaussian_random_field(lat, slope, rng, normalize=False)
+            pairing = scalar_product(nonlinear_term(theta), theta, 0.0)
+            scale = hom_norm(theta, 0.0) * inhom_norm(theta, 1.0) ** 2
+            assert abs(pairing) <= 1e-15 * scale
 
 
 class TestInterpolationGap:

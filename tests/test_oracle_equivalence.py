@@ -38,7 +38,7 @@ def rel_err(got, want):
     return np.abs(got - want).max() / scale
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 12, 16])
 class TestAgainstDirectConvolution:
     def test_pointwise_product(self, n):
         lat, f, g = random_pair(n, 0)

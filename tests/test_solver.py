@@ -9,6 +9,7 @@ from sqglab import (
     CflError,
     SolverConfig,
     blowup_monitor,
+    dealias,
     energy_ledger,
     gaussian_random_field,
     hom_norm,
@@ -213,6 +214,74 @@ class TestSimulate:
         assert np.array_equal(a.series.l2, b.series.l2)
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
         assert np.array_equal(a.cancellation, b.cancellation)
+
+
+class TestHalfSpectrumKernelPath:
+    def count_kernel_calls(self, monkeypatch):
+        import sqglab.solver
+
+        calls = []
+        kernel = sqglab.solver._advection_coeffs
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(sqglab.solver, "_advection_coeffs", counted)
+        return calls
+
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_pairing_tendency_is_the_next_first_stage(self, monkeypatch, tracked):
+        # 4 tendencies per RK4 step; with tracking only the last sample's
+        # pairing tendency is not reused as a first stage
+        cfg = small_config(t_end=0.2, dt=0.02, track_cancellation=tracked)
+        theta0 = initial_field(cfg)
+        calls = self.count_kernel_calls(monkeypatch)
+        record = simulate(theta0, cfg)
+        steps = len(record.times) - 1
+        assert steps == 10
+        assert len(calls) == 4 * steps + (1 if tracked else 0)
+
+    def test_step_equals_one_simulate_step(self):
+        cfg = small_config(t_end=0.01, dt=0.01, init_norm=2.0)
+        theta = dealias(initial_field(cfg))
+        one = step(theta, cfg)
+        final = simulate(theta, cfg).final
+        scale = np.abs(final.coeffs).max()
+        assert np.abs(one.coeffs - final.coeffs).max() <= 1e-15 * scale
+
+    def test_snapshots_are_conjugate_symmetric_and_masked(self):
+        cfg = small_config(t_end=0.3, init_norm=5.0, snapshot_every=3)
+        lat = cfg.lattice()
+        record = simulate(initial_field(cfg), cfg)
+        assert len(record.snapshots) >= 3
+        for snap in record.snapshots + [record.final]:
+            c = snap.coeffs
+            assert c.shape == (cfg.n, cfg.n)
+            mirror = np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1)))
+            assert np.array_equal(c, mirror)
+            assert np.all(c[~lat.dealias_mask] == 0.0)
+
+    def test_cfl_bound_run_caches_one_factor_pair(self, monkeypatch):
+        import sqglab.solver
+
+        steppers = []
+
+        class Recorded(sqglab.solver._Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+
+        monkeypatch.setattr(sqglab.solver, "_Stepper", Recorded)
+        cfg = small_config(n=64, t_end=0.1, init_norm=200.0, seed=1)
+        record = simulate(initial_field(cfg), cfg)
+        assert np.unique(np.diff(record.times)).size > 10  # many short steps
+        assert len(steppers) == 1 and len(steppers[0]._factors) <= 1
+
+    def test_pairing_vanishes_when_3_divides_n(self):
+        cfg = small_config(n=48, t_end=0.2, init_norm_rel=0.5, track_cancellation=True)
+        record = simulate(initial_field(cfg), cfg)
+        assert record.cancellation.max() <= 1e-15
 
 
 class TestEnergyLedger:
