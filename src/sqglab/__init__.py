@@ -35,12 +35,12 @@ from .lemmas import (
     estimate_constant,
 )
 from .norms import (
-    NormKind,
     hom_norm,
     inhom_norm,
     interpolation_gap,
     parseval_weight,
     scalar_product,
+    shell_spectrum,
 )
 from .solver import (
     BlowupError,
@@ -59,7 +59,6 @@ from .solver import (
 from .spectral import (
     FrequencyLattice,
     SpectralField,
-    VelocityField,
     advect,
     dealias,
     forward_transform,

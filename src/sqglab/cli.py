@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .decay import GateError, decay_experiment
-from .lemmas import LEMMA_IDS, EnsembleSpec, estimate_constant
+from .lemmas import LEMMA_IDS, MIN_SAMPLES, EnsembleSpec, estimate_constant
 from .solver import (
     BlowupError,
     CflError,
@@ -140,6 +140,14 @@ def _config_dict(cfg):
     return d
 
 
+def _write_manifest(manifest, outdir):
+    """Stamp the finish time, list the manifest among the outputs, write it."""
+    path = os.path.join(outdir, "manifest.json")
+    manifest.finished = _now()
+    manifest.outputs.append(path)
+    manifest.write(path)
+
+
 def _write_run_outputs(outdir, record, manifest):
     if record.cancellation is not None:
         manifest.stats["max_advection_pairing"] = float(record.cancellation.max())
@@ -157,26 +165,17 @@ def cmd_simulate(args):
     outdir = args.out or "sqglab-run"
     os.makedirs(outdir, exist_ok=True)
     manifest = RunManifest(config=_config_dict(cfg), started=_now())
-    manifest_path = os.path.join(outdir, "manifest.json")
     theta0 = initial_field(cfg)
 
     try:
         record = simulate(theta0, cfg)
-    except CflError as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        manifest.finished = _now()
-        manifest.verdicts["stable"] = False
-        manifest.outputs.append(manifest_path)
-        manifest.write(manifest_path)
-        return EXIT_INSTABILITY
-    except BlowupError as exc:
+    except (CflError, BlowupError) as exc:
         print(f"instability: {exc}", file=sys.stderr)
         manifest.verdicts["stable"] = False
-        if exc.record is not None:
-            _write_run_outputs(outdir, exc.record, manifest)
-        manifest.finished = _now()
-        manifest.outputs.append(manifest_path)
-        manifest.write(manifest_path)
+        partial = getattr(exc, "record", None)  # only a blow-up keeps one
+        if partial is not None:
+            _write_run_outputs(outdir, partial, manifest)
+        _write_manifest(manifest, outdir)
         return EXIT_INSTABILITY
 
     ledger = energy_ledger(record, tol_l2=checks.tol_l2, tol_h=checks.tol_h)
@@ -188,9 +187,7 @@ def cmd_simulate(args):
         "dissipation_finite": monitor.finite,
     }
     _write_run_outputs(outdir, record, manifest)
-    manifest.finished = _now()
-    manifest.outputs.append(manifest_path)
-    manifest.write(manifest_path)
+    _write_manifest(manifest, outdir)
 
     print(
         f"simulate: {len(record.series)} samples to t={record.times[-1]:g}; "
@@ -210,25 +207,31 @@ _DEFAULT_SAMPLES = {
 def cmd_verify(args):
     ids = args.lemmas
     if not ids:
-        print("no lemma ids given; choose from " + ", ".join(LEMMA_IDS), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("no lemma ids given; choose from " + ", ".join(LEMMA_IDS))
     if "all" in ids:
         ids = list(LEMMA_IDS)
     for lemma_id in ids:
         if lemma_id not in LEMMA_IDS:
-            print(
-                f"unknown lemma id {lemma_id!r}; choose from " + ", ".join(LEMMA_IDS),
-                file=sys.stderr,
+            raise UsageError(
+                f"unknown lemma id {lemma_id!r}; choose from " + ", ".join(LEMMA_IDS)
             )
-            return EXIT_USAGE
+    alpha = args.alpha
+    if not 0 < alpha < 0.5:
+        raise UsageError(f"--alpha must lie in (0, 1/2), got {alpha}")
+    if args.samples is not None and args.samples < MIN_SAMPLES:
+        raise UsageError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
+    try:
+        lattice = make_lattice(args.n, 2.0 * math.pi)
+    except ValueError as exc:
+        raise UsageError(f"--n: {exc}") from exc
     outdir = args.out or "sqglab-verify"
     os.makedirs(outdir, exist_ok=True)
-    lattice = make_lattice(args.n, 2.0 * math.pi)
-    alpha = args.alpha
 
     all_ok = True
     for lemma_id in ids:
-        count = args.samples or _DEFAULT_SAMPLES.get(lemma_id, 200)
+        count = args.samples
+        if count is None:
+            count = _DEFAULT_SAMPLES.get(lemma_id, 200)
         params = {}
         if lemma_id in ("2.1-productlaw-two-term", "2.2-productlaw"):
             params = {"s1": 1.0 - 2.0 * alpha, "s2": alpha}
@@ -256,13 +259,18 @@ def cmd_verify(args):
 
 def cmd_decay(args):
     cfg, checks = load_config(args.config, args.set or ())
+    if args.target is not None:
+        try:
+            checks = dataclasses.replace(checks, decay_target=args.target)
+        except ValueError as exc:
+            raise UsageError(f"invalid --target: {exc}") from exc
+    target = checks.decay_target
     if cfg.snapshot_every == 0:
-        cfg = dataclasses.replace(cfg, snapshot_every=max(1, len_samples_for(cfg) // 200))
-    target = args.target if args.target is not None else checks.decay_target
+        samples = max(2, int(round(cfg.t_end / cfg.dt)) // cfg.output_every)
+        cfg = dataclasses.replace(cfg, snapshot_every=max(1, samples // 200))
     outdir = args.out or "sqglab-decay"
     os.makedirs(outdir, exist_ok=True)
     manifest = RunManifest(config=_config_dict(cfg), started=_now())
-    manifest_path = os.path.join(outdir, "manifest.json")
     theta0 = initial_field(cfg)
 
     try:
@@ -276,17 +284,13 @@ def cmd_decay(args):
         )
     except GateError as exc:
         print(f"gate: {exc}", file=sys.stderr)
-        manifest.finished = _now()
         manifest.verdicts["gate"] = False
-        manifest.outputs.append(manifest_path)
-        manifest.write(manifest_path)
+        _write_manifest(manifest, outdir)
         return EXIT_GATE
     except (BlowupError, CflError) as exc:
         print(f"instability: {exc}", file=sys.stderr)
-        manifest.finished = _now()
         manifest.verdicts["stable"] = False
-        manifest.outputs.append(manifest_path)
-        manifest.write(manifest_path)
+        _write_manifest(manifest, outdir)
         return EXIT_INSTABILITY
 
     report_path = os.path.join(outdir, "decay_report.json")
@@ -295,14 +299,13 @@ def cmd_decay(args):
         handle.write("\n")
     residuals_path = os.path.join(outdir, "residuals.csv")
     report.residuals_to_csv(residuals_path)
-    manifest.outputs += [report_path, residuals_path, manifest_path]
+    manifest.outputs += [report_path, residuals_path]
     manifest.verdicts = {
         "gate": report.gate_passed,
         "diagnostics": report.diagnostics_passed,
         "decay_target": report.terminal_ratio < target,
     }
-    manifest.finished = _now()
-    manifest.write(manifest_path)
+    _write_manifest(manifest, outdir)
 
     print(
         f"decay: terminal ratio {report.terminal_ratio:.3e} (target {target:g}); "
@@ -310,10 +313,6 @@ def cmd_decay(args):
         f"gate {'passed' if report.gate_passed else 'failed'}"
     )
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def len_samples_for(cfg):
-    return max(2, int(round(cfg.t_end / cfg.dt)) // cfg.output_every)
 
 
 def _sweep_row(payload):
@@ -357,17 +356,14 @@ def cmd_sweep(args):
         with open(args.spec) as handle:
             spec = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read sweep spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read sweep spec: {exc}") from exc
     if not isinstance(spec, dict) or "base" not in spec:
-        print("sweep spec must be an object with a 'base' config", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("sweep spec must be an object with a 'base' config")
     base = dict(spec["base"])
     grid = spec.get("grid", {})
     bad_axes = set(grid) - set(_SWEEP_AXES)
     if bad_axes:
-        print(f"unsupported sweep axes: {sorted(bad_axes)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unsupported sweep axes: {sorted(bad_axes)}")
     checks = {
         "tol_l2": spec.get("tol_l2", 1e-4),
         "tol_h": spec.get("tol_h", 1e-3),
@@ -378,13 +374,9 @@ def cmd_sweep(args):
         max_jobs = int(spec.get("max_jobs", 64))
         workers = int(os.environ.get("SQGLAB_WORKERS", "1"))
     except (TypeError, ValueError) as exc:
-        print(f"max_jobs and SQGLAB_WORKERS must be integers: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"max_jobs and SQGLAB_WORKERS must be integers: {exc}") from exc
     if len(combos) > max_jobs:
-        print(
-            f"sweep of {len(combos)} runs exceeds max_jobs={max_jobs}", file=sys.stderr
-        )
-        return EXIT_USAGE
+        raise UsageError(f"sweep of {len(combos)} runs exceeds max_jobs={max_jobs}")
 
     payloads = [
         (base, {name: value for (name, _), value in zip(axes, combo)}, checks)

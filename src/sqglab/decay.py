@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lemmas import EnsembleSpec, estimate_constant
-from .norms import hom_norm, inhom_norm, interpolation_gap
+from .norms import hom_norm, inhom_norm, interpolation_gap, shell_spectrum
 from .solver import simulate, smallness_gate
-from .spectral import high_pass, low_pass
+# unused here; bound only because perfbench/spans.py wraps these names
+from .spectral import high_pass, low_pass  # noqa: F401
 
 __all__ = [
     "SplitDiagnostics",
@@ -48,6 +49,29 @@ __all__ = [
 
 class GateError(RuntimeError):
     """Raised when an experiment requires the smallness gate and it failed."""
+
+
+def _band_norms_sq(fields, deltas, orders):
+    """Squared Hdot^s norms of the low (|xi| < delta) and high parts of fields.
+
+    Returns ``(low, high)``, each shaped (fields, cutoffs, orders), from one
+    shell spectrum per field.  Both are direct sums over their shells, a
+    prefix and a suffix, so a high tail far below the total keeps its digits.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if not np.all(deltas > 0):
+        raise ValueError("cutoff must be positive")
+    radii = shell_spectrum(fields[0])[0]
+    cut = np.searchsorted(radii, deltas)
+    powers = radii[:, None] ** (2.0 * np.asarray(orders, dtype=float))
+    zero = np.zeros((1, len(orders)))
+    low = np.empty((len(fields), len(deltas), len(orders)))
+    high = np.empty_like(low)
+    for i, f in enumerate(fields):
+        terms = shell_spectrum(f)[1][:, None] * powers
+        low[i] = np.vstack([zero, np.cumsum(terms, axis=0)])[cut]
+        high[i] = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], zero])[cut]
+    return low, high
 
 
 def _require_snapshots(traj, minimum=2):
@@ -116,29 +140,19 @@ def split_diagnostics(traj, delta, c_hat, tol=1e-6):
     the bound, an underestimate can fail it.
     """
     _require_snapshots(traj)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
     alpha = traj.config.alpha
-    theta0 = traj.snapshots[0]
-    t = np.asarray(traj.snapshot_times)
+    low, _ = _band_norms_sq(traj.snapshots, [delta], (0.0, alpha))
+    w_l2sq, w_ha = low[:, 0, 0], low[:, 0, 1]
+    int_w = float(np.trapezoid(w_ha, np.asarray(traj.snapshot_times)))
 
-    sup_w = 0.0
-    w_ha = np.empty(len(t))
-    for i, snap in enumerate(traj.snapshots):
-        w = low_pass(snap, delta)
-        sup_w = max(sup_w, hom_norm(w, 0.0))
-        w_ha[i] = hom_norm(w, alpha) ** 2
-    int_w = float(np.trapezoid(w_ha, t))
-
-    w0_l2 = hom_norm(low_pass(theta0, delta), 0.0)
-    theta0_l2 = hom_norm(theta0, 0.0)
-    eps_delta = w0_l2**2 + c_hat * delta ** (2.0 - 2.0 * alpha) * theta0_l2**3
+    theta0_l2 = hom_norm(traj.snapshots[0], 0.0)
+    eps_delta = float(w_l2sq[0]) + c_hat * delta ** (2.0 - 2.0 * alpha) * theta0_l2**3
 
     int_v, m_delta = duhamel_highfreq_bound(traj, delta, alpha, c_hat)
     return SplitDiagnostics(
         delta=float(delta),
         sigma=2.0 - 3.0 * alpha,
-        sup_w_l2=sup_w,
+        sup_w_l2=math.sqrt(float(np.max(w_l2sq))),
         int_w_ha=int_w,
         eps_delta=eps_delta,
         int_v_negsigma=int_v,
@@ -163,11 +177,8 @@ def duhamel_highfreq_bound(traj, delta, alpha, c_hat):
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     sigma = 2.0 - 3.0 * alpha
-    t = np.asarray(traj.snapshot_times)
-    v_neg = np.empty(len(t))
-    for i, snap in enumerate(traj.snapshots):
-        v_neg[i] = hom_norm(high_pass(snap, delta), -sigma) ** 2
-    int_v = float(np.trapezoid(v_neg, t))
+    _, high = _band_norms_sq(traj.snapshots, [delta], (-sigma,))
+    int_v = float(np.trapezoid(high[:, 0, 0], np.asarray(traj.snapshot_times)))
 
     theta0_l2sq = hom_norm(traj.snapshots[0], 0.0) ** 2
     int_ha = float(np.trapezoid(traj.series.h_alpha**2, traj.series.times))
@@ -390,27 +401,20 @@ def _interp_and_embedding(traj, deltas):
     sigma = 2.0 - 3.0 * alpha
     a = alpha / (sigma + alpha)
     t = np.asarray(traj.snapshot_times)
-    interp_rel = np.empty(len(t))
-    embed = np.zeros(len(t))
+    interp_rel = np.zeros(len(t))
     for i, snap in enumerate(traj.snapshots):
-        l2 = hom_norm(snap, 0.0)
-        if l2 == 0.0:
-            interp_rel[i] = 0.0
+        if hom_norm(snap, 0.0) == 0.0:
             continue
         gap = interpolation_gap(snap, alpha)
         rhs = gap + hom_norm(snap, 2.0 - 2.0 * alpha)
         interp_rel[i] = gap / rhs if rhs > 0 else 0.0
-        # Hdot^{-sigma} cap Hdot^alpha controls L2:
-        # ||v||_{L2}^2 <= ||v||_{Hdot^-sigma}^{2a} ||v||_{Hdot^alpha}^{2(1-a)}
-        worst = 0.0
-        for delta in deltas:
-            v = high_pass(snap, delta)
-            v_l2 = hom_norm(v, 0.0)
-            if v_l2 == 0.0:
-                continue
-            rhs_e = hom_norm(v, -sigma) ** (2 * a) * hom_norm(v, alpha) ** (2 * (1 - a))
-            worst = max(worst, (v_l2**2 - rhs_e) / v_l2**2)
-        embed[i] = worst
+    # Hdot^{-sigma} cap Hdot^alpha controls L2:
+    # ||v||_{L2}^2 <= ||v||_{Hdot^-sigma}^{2a} ||v||_{Hdot^alpha}^{2(1-a)}
+    _, high = _band_norms_sq(traj.snapshots, deltas, (0.0, -sigma, alpha))
+    v_l2sq, v_neg, v_ha = high[..., 0], high[..., 1], high[..., 2]
+    occupied = v_l2sq > 0
+    slack = (v_l2sq - v_neg**a * v_ha ** (1 - a)) / np.where(occupied, v_l2sq, 1.0)
+    embed = np.max(np.where(occupied, slack, 0.0), axis=1, initial=0.0)
     return t, interp_rel, embed
 
 
@@ -464,13 +468,11 @@ def decay_experiment(
     first_good = 0.0
     if l2_0 > 0:
         eps_l2 = occupation_fraction * l2_0
-        for delta in deltas:
-            v_l2 = np.array(
-                [hom_norm(high_pass(s, delta), 0.0) for s in traj.snapshots]
-            )
-            occupations_low.append(
-                occupation_report(t_snap, v_l2, 0.5 * eps_l2, 2.0)
-            )
+        _, high = _band_norms_sq(traj.snapshots, deltas, (0.0,))
+        occupations_low = [
+            occupation_report(t_snap, v_l2, 0.5 * eps_l2, 2.0)
+            for v_l2 in np.sqrt(high[:, :, 0].T)
+        ]
         finite = [o.first_good_time for o in occupations_low if math.isfinite(o.first_good_time)]
         first_good = min(finite) if finite else 0.0
 

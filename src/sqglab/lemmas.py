@@ -47,6 +47,8 @@ LEMMA_IDS = (
 # internal shapes reachable through estimate_constant but not the CLI
 _EXTRA_IDS = ("cauchy-advection",)
 
+MIN_SAMPLES = 10  # smallest ensemble estimate_constant accepts
+
 
 @dataclass
 class EnsembleSpec:
@@ -277,8 +279,8 @@ def estimate_constant(spec, which, params=None):
     """
     if which not in LEMMA_IDS and which not in _EXTRA_IDS:
         raise ValueError(f"unknown lemma id {which!r}; choose from {LEMMA_IDS}")
-    if spec.count < 10:
-        raise ValueError("constant estimation needs at least 10 samples")
+    if spec.count < MIN_SAMPLES:
+        raise ValueError(f"constant estimation needs at least {MIN_SAMPLES} samples")
     params = dict(params or {})
     rng = np.random.default_rng(spec.seed)
     tally = _Tally()
@@ -322,8 +324,8 @@ def estimate_constant(spec, which, params=None):
             g = _draw(spec, rng)
             pairs = [(f, g)]
             if riesz_pairs:
-                u = riesz_velocity(f)
-                pairs += [(f, u.u1), (f, u.u2)]
+                u1, u2 = riesz_velocity(f)
+                pairs += [(f, u1), (f, u2)]
             for a, b in pairs:
                 two_term, product = check_product_law(a, b, s1, s2)
                 tally.add(product if want_product else two_term)

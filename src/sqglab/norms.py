@@ -13,14 +13,13 @@ sqrt(||f||_{L2}^2 + |||D|^s f||_{L2}^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NormKind",
     "parseval_weight",
     "hom_norm",
+    "shell_spectrum",
     "inhom_norm",
     "scalar_product",
     "interpolation_gap",
@@ -40,6 +39,38 @@ def hom_norm(f, s):
     w = f.lattice.symbol_power(2.0 * s)
     total = parseval_weight(f.lattice) * float(np.sum(w * np.abs(f.coeffs) ** 2))
     return math.sqrt(total)
+
+
+def _shells(lattice):
+    """Shell index per mode and the ascending shell radii, cached per lattice.
+
+    Shell 0 is the mean mode alone; shells 1.. are the occupied integer
+    shells m = j1^2 + j2^2 >= 1.  A shell's radius is the ``kmag`` of its
+    first mode in storage order.
+    """
+    cached = lattice._symbol_cache.get("shells")
+    if cached is None:
+        m = (lattice.modes1**2 + lattice.modes2**2).ravel()
+        _, first, index = np.unique(m, return_index=True, return_inverse=True)
+        cached = (index, lattice.kmag.ravel()[first[1:]])
+        lattice._symbol_cache["shells"] = cached
+    return cached
+
+
+def shell_spectrum(f):
+    """Energy per integer shell: ``(radii, energy)`` over the shells m >= 1.
+
+    ``radii`` ascends and ``energy[i]`` is the Parseval-weighted sum of
+    |f_hat|^2 over the modes of shell i, so ``sum(energy * radii**(2*s))`` is
+    ``hom_norm(f, s)**2``.  A band-limited squared norm is a prefix (|xi| <
+    delta) or suffix (|xi| >= delta) sum cut at
+    ``np.searchsorted(radii, delta)``.  Modes of one shell whose ``kmag``
+    differ by an ulp share one radius, so a cutoff within an ulp of a radius
+    is decided per shell, not per mode.
+    """
+    index, radii = _shells(f.lattice)
+    energy = np.bincount(index, weights=np.abs(f.coeffs).ravel() ** 2)
+    return radii, parseval_weight(f.lattice) * energy[1:]
 
 
 def inhom_norm(f, s):
@@ -87,40 +118,3 @@ def interpolation_gap(theta, alpha):
     a = alpha / (2.0 - alpha)
     rhs = l2**a * high ** (1.0 - a)
     return rhs - lhs
-
-
-@dataclass(frozen=True)
-class NormKind:
-    """Tagged norm selector: L2, homogeneous or inhomogeneous of order s."""
-
-    tag: str
-    s: float = 0.0
-
-    _TAGS = ("L2", "hom", "inhom")
-
-    def __post_init__(self):
-        if self.tag not in self._TAGS:
-            raise ValueError(f"unknown norm tag {self.tag!r}")
-        if not math.isfinite(self.s):
-            raise ValueError("norm order must be finite")
-        if self.tag == "inhom" and not self.s > 0:
-            raise ValueError("inhomogeneous norm requires s > 0")
-
-    @classmethod
-    def l2(cls):
-        return cls("L2")
-
-    @classmethod
-    def hom(cls, s):
-        return cls("hom", float(s))
-
-    @classmethod
-    def inhom(cls, s):
-        return cls("inhom", float(s))
-
-    def evaluate(self, f):
-        if self.tag == "L2":
-            return hom_norm(f, 0.0)
-        if self.tag == "hom":
-            return hom_norm(f, self.s)
-        return inhom_norm(f, self.s)

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "FrequencyLattice",
     "SpectralField",
-    "VelocityField",
     "make_lattice",
     "forward_transform",
     "inverse_transform",
@@ -173,18 +172,6 @@ class SpectralField:
             raise ValueError("fields live on different lattices")
 
 
-@dataclass
-class VelocityField:
-    """Divergence-free velocity (u1, u2) derived from a scalar field."""
-
-    u1: SpectralField
-    u2: SpectralField
-
-    @property
-    def lattice(self):
-        return self.u1.lattice
-
-
 def forward_transform(samples, lattice):
     """Transform real physical samples (n, n) to a SpectralField.
 
@@ -219,24 +206,19 @@ def _zero_nyquist(coeffs, n):
     return coeffs
 
 
-def _riesz_coeffs(lat, coeffs):
-    inv = lat.symbol_power(-1.0)
-    u1 = _zero_nyquist(-1j * lat.ky * inv * coeffs, lat.n)
-    u2 = _zero_nyquist(1j * lat.kx * inv * coeffs, lat.n)
-    return u1, u2
-
-
 def riesz_velocity(theta):
     """Velocity induced by the scalar: u = (-d2, d1) |D|^{-1} theta.
 
     Mode-wise u1 = -i*xi2/|xi| theta, u2 = i*xi1/|xi| theta, which is
     divergence free and satisfies |u(xi)| = |theta(xi)| on every mode away
     from the Nyquist rows (those are zeroed so the velocity stays real).
+    Returns the pair (u1, u2).
     """
-    u1, u2 = _riesz_coeffs(theta.lattice, theta.coeffs)
-    return VelocityField(
-        SpectralField(theta.lattice, u1), SpectralField(theta.lattice, u2)
-    )
+    lat = theta.lattice
+    inv = lat.symbol_power(-1.0)
+    u1 = _zero_nyquist(-1j * lat.ky * inv * theta.coeffs, lat.n)
+    u2 = _zero_nyquist(1j * lat.kx * inv * theta.coeffs, lat.n)
+    return SpectralField(lat, u1), SpectralField(lat, u2)
 
 
 def gradient(f):

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's FFT-based kernels: products
 are direct O(n^4) circular convolution sums over modes, norms come from
 physical-space quadrature or explicit coefficient sums, and the velocity /
-gradient symbols are rebuilt mode by mode from their definitions.
+gradient symbols are rebuilt mode by mode from their definitions.  The decay
+references split each mode at the cutoff on its own |xi| and sum the norms of
+the two parts mode by mode, with no shell spectrum.
 """
 
 import numpy as np
@@ -109,3 +111,70 @@ def l2_norm_physical(samples, box_len):
     """Physical-space quadrature of the L2 norm."""
     n = samples.shape[0]
     return np.sqrt(np.sum(samples**2) * (box_len / n) ** 2)
+
+
+def band_coeffs(coeffs, n, box_len, delta):
+    """Per-mode split at delta: the |xi| < delta part and the |xi| >= delta part."""
+    kx, ky = wavenumbers(n, box_len)
+    low = np.sqrt(kx**2 + ky**2) < delta
+    return np.where(low, coeffs, 0.0), np.where(low, 0.0, coeffs)
+
+
+def band_norms(traj, delta, s, part):
+    """Per-snapshot Hdot^s norm of the low (part 0) or high (part 1) part."""
+    n, box_len = traj.config.n, traj.config.box_len
+    return np.array(
+        [
+            hom_norm_from_coeffs(band_coeffs(snap.coeffs, n, box_len, delta)[part], n, box_len, s)
+            for snap in traj.snapshots
+        ]
+    )
+
+
+def duhamel_bound(traj, delta, alpha, c_hat):
+    """duhamel_highfreq_bound from per-mode filters: (int_v_negsigma, m_delta)."""
+    cfg = traj.config
+    sigma = 2.0 - 3.0 * alpha
+    t = np.asarray(traj.snapshot_times)
+    int_v = float(np.trapezoid(band_norms(traj, delta, -sigma, 1) ** 2, t))
+    theta0_l2sq = hom_norm_from_coeffs(traj.snapshots[0].coeffs, cfg.n, cfg.box_len, 0.0) ** 2
+    int_ha = float(np.trapezoid(traj.series.h_alpha**2, traj.series.times))
+    linear_part = np.sqrt(delta ** (-2.0 * sigma - 2.0 * alpha) * theta0_l2sq / 2.0)
+    forced_part = c_hat * np.sqrt(delta ** (-2.0 * alpha) * int_ha)
+    return int_v, float((linear_part + forced_part) ** 2)
+
+
+def split_ledger(traj, delta, c_hat):
+    """split_diagnostics from per-mode filters.
+
+    Returns (sup_w_L2, int_w_Ha, eps_delta, int_v_negsigma, m_delta).
+    """
+    cfg = traj.config
+    alpha = cfg.alpha
+    t = np.asarray(traj.snapshot_times)
+    w_l2 = band_norms(traj, delta, 0.0, 0)
+    int_w = float(np.trapezoid(band_norms(traj, delta, alpha, 0) ** 2, t))
+    theta0_l2 = hom_norm_from_coeffs(traj.snapshots[0].coeffs, cfg.n, cfg.box_len, 0.0)
+    eps_delta = w_l2[0] ** 2 + c_hat * delta ** (2.0 - 2.0 * alpha) * theta0_l2**3
+    int_v, m_delta = duhamel_bound(traj, delta, alpha, c_hat)
+    return float(w_l2.max()), int_w, float(eps_delta), int_v, m_delta
+
+
+def embedding_slack(traj, deltas):
+    """Per-snapshot worst (||v||^2 - ||v||_{-sigma}^{2a} ||v||_{a}^{2(1-a)}) / ||v||^2.
+
+    v is the high part at each cutoff, a = alpha / (sigma + alpha); cutoffs
+    with an empty high part are skipped and the worst starts at 0.
+    """
+    alpha = traj.config.alpha
+    sigma = 2.0 - 3.0 * alpha
+    a = alpha / (sigma + alpha)
+    worst = np.zeros(len(traj.snapshots))
+    for delta in deltas:
+        v_l2 = band_norms(traj, delta, 0.0, 1)
+        v_neg = band_norms(traj, delta, -sigma, 1)
+        v_ha = band_norms(traj, delta, alpha, 1)
+        for i in np.nonzero(v_l2 > 0)[0]:
+            rhs = v_neg[i] ** (2 * a) * v_ha[i] ** (2 * (1 - a))
+            worst[i] = max(worst[i], (v_l2[i] ** 2 - rhs) / v_l2[i] ** 2)
+    return worst

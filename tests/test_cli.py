@@ -34,6 +34,12 @@ def write_config(path, **overrides):
 REMOVE = object()
 
 
+def failure_manifest(out):
+    """The verdicts and the output basenames, in order, of a run's manifest."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    return manifest["verdicts"], [os.path.basename(p) for p in manifest["outputs"]]
+
+
 class TestSimulateCommand:
     def test_small_run_exits_zero_and_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", snapshot_every=5)
@@ -93,6 +99,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["verdicts"]["stable"] is False
         assert (out / "series.csv").exists()
+        assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
 
     def test_cfl_violation_without_auto_dt_exits_three(self, tmp_path):
         cfg = write_config(
@@ -104,6 +111,7 @@ class TestSimulateCommand:
             auto_dt=False,
         )
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INSTABILITY
+        assert failure_manifest(tmp_path / "o") == ({"stable": False}, ["manifest.json"])
 
     def test_command_line_override(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
@@ -197,6 +205,23 @@ class TestVerifyCommand:
     def test_empty_selection_exits_usage(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--alpha", "0.7"],
+            ["--alpha", "nan"],
+            ["--n", "7"],
+            ["--samples", "5"],
+            ["--samples", "0"],
+        ],
+        ids=["alpha=0.7", "alpha=nan", "n=7", "samples=5", "samples=0"],
+    )
+    def test_bad_argument_exits_usage(self, tmp_path, bad):
+        out = tmp_path / "reports"
+        args = ["verify", "2.3-trilinear", "--samples", "20", "--n", "16", "--out", str(out)]
+        assert main(args + bad) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestDecayCommand:
     def test_small_run_exits_zero(self, tmp_path):
@@ -216,6 +241,29 @@ class TestDecayCommand:
             tmp_path / "run.json", init_norm=50.0, init_norm_rel=REMOVE, eps0=0.5
         )
         assert main(["decay", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_GATE
+        assert failure_manifest(tmp_path / "o") == ({"gate": False}, ["manifest.json"])
+
+    def test_instability_exits_three_with_a_manifest(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "run.json",
+            init_norm=50.0,
+            init_norm_rel=REMOVE,
+            eps0=100.0,
+            dt=0.5,
+            t_end=2.0,
+            auto_dt=False,
+            snapshot_every=1,
+        )
+        out = tmp_path / "o"
+        assert main(["decay", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
+        assert failure_manifest(out) == ({"stable": False}, ["manifest.json"])
+
+    @pytest.mark.parametrize("target", ["inf", "nan"])
+    def test_non_finite_target_exits_usage(self, tmp_path, target):
+        cfg = write_config(tmp_path / "run.json", snapshot_every=5)
+        out = tmp_path / "o"
+        assert main(["decay", str(cfg), "--out", str(out), "--target", target]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_forced_run_records_the_failed_gate(self, tmp_path):
         cfg = write_config(

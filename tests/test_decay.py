@@ -11,8 +11,11 @@ from sqglab import (
     decay_experiment,
     default_delta_ladder,
     duhamel_highfreq_bound,
+    gaussian_random_field,
+    high_pass,
     hom_norm,
     initial_field,
+    low_pass,
     make_lattice,
     multi_mode_field,
     occupation_report,
@@ -20,7 +23,13 @@ from sqglab import (
     split_diagnostics,
     unit_mode,
 )
-from sqglab.decay import estimate_cauchy_constant, estimate_split_constant
+from sqglab.decay import (
+    _band_norms_sq,
+    _interp_and_embedding,
+    estimate_cauchy_constant,
+    estimate_split_constant,
+)
+import oracles
 
 TWO_PI = 2.0 * np.pi
 ALPHA = 0.25
@@ -268,3 +277,63 @@ class TestDecayExperiment:
         cfg = run_config(snapshot_every=0)
         with pytest.raises(ValueError):
             decay_experiment(cfg, initial_field(cfg))
+
+
+class TestShellSpectrumPath:
+    """The shell-spectrum band norms against the per-mode filters."""
+
+    def test_tiny_high_tails_keep_their_digits(self):
+        lat = make_lattice(64, TWO_PI)
+        rng = np.random.default_rng(11)
+        fields = [gaussian_random_field(lat, 8.0, rng, band_limit=False) for _ in range(3)]
+        deltas = (1.0, 4.0, 8.0, 16.0)
+        orders = (0.0, ALPHA, -(2.0 - 3.0 * ALPHA))
+        low, high = _band_norms_sq(fields, deltas, orders)
+        assert low.shape == high.shape == (3, 4, 3)
+        # at delta 16 the high part is far below the total: total - low
+        # would keep none of its digits
+        assert np.all(high[:, -1, 0] < 1e-12 * low[:, -1, 0])
+        for i, f in enumerate(fields):
+            for j, delta in enumerate(deltas):
+                for k, s in enumerate(orders):
+                    want_low = hom_norm(low_pass(f, delta), s) ** 2
+                    want_high = hom_norm(high_pass(f, delta), s) ** 2
+                    assert low[i, j, k] == pytest.approx(want_low, rel=1e-12, abs=0.0)
+                    assert high[i, j, k] == pytest.approx(want_high, rel=1e-12, abs=0.0)
+
+    def test_non_positive_cutoff_rejected(self, small_run):
+        with pytest.raises(ValueError):
+            duhamel_highfreq_bound(small_run, 0.0, ALPHA, 1.0)
+        with pytest.raises(ValueError):
+            split_diagnostics(small_run, -1.0, 1.0)
+
+    def test_decay_diagnostics_match_the_per_mode_reference(self):
+        cfg = run_config(t_end=1.0, snapshot_every=2)
+        theta0 = initial_field(cfg)
+        traj = simulate(theta0, cfg)
+        deltas = default_delta_ladder(cfg.lattice()) + (1.7, 5.3, 9.9)
+        c_hat = 0.7
+        report = decay_experiment(
+            cfg, theta0, deltas=deltas, c_hat=c_hat, cauchy_c_hat=1.0, target=math.inf
+        )
+        for delta, split in zip(deltas, report.splits):
+            want = oracles.split_ledger(traj, delta, c_hat)
+            got = (split.sup_w_l2, split.int_w_ha, split.eps_delta)
+            got += (split.int_v_negsigma, split.m_delta)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            int_v, m_delta = duhamel_highfreq_bound(traj, delta, ALPHA, c_hat)
+            assert (int_v, m_delta) == pytest.approx(
+                oracles.duhamel_bound(traj, delta, ALPHA, c_hat), rel=1e-12, abs=0.0
+            )
+        t = np.asarray(traj.snapshot_times)
+        threshold = 0.5 * 0.1 * float(traj.series.l2[0])
+        for delta, occ in zip(deltas, report.occupations_low):
+            want = occupation_report(t, oracles.band_norms(traj, delta, 0.0, 1), threshold, 2.0)
+            assert occ.first_good_time == want.first_good_time
+            assert (occ.measure_estimate, occ.bound) == pytest.approx(
+                (want.measure_estimate, want.bound), rel=1e-12, abs=0.0
+            )
+        _, _, embed = _interp_and_embedding(traj, deltas)
+        want = oracles.embedding_slack(traj, deltas)
+        np.testing.assert_allclose(embed, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(report.residuals["embed_slack_rel"], embed)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sqglab import (
-    NormKind,
+    default_delta_ladder,
     forward_transform,
     gaussian_random_field,
+    high_pass,
     hom_norm,
     inhom_norm,
     interpolation_gap,
@@ -15,6 +16,7 @@ from sqglab import (
     multi_mode_field,
     nonlinear_term,
     scalar_product,
+    shell_spectrum,
     unit_mode,
 )
 
@@ -198,18 +200,47 @@ class TestBernstein:
             assert lhs <= rhs * (1.0 + 1e-12)
 
 
-class TestNormKind:
-    def test_evaluate_matches_functions(self):
-        lat = make_lattice(16, TWO_PI)
-        f = gaussian_random_field(lat, 1.0, np.random.default_rng(8))
-        assert NormKind.l2().evaluate(f) == hom_norm(f, 0.0)
-        assert NormKind.hom(0.75).evaluate(f) == hom_norm(f, 0.75)
-        assert NormKind.inhom(1.5).evaluate(f) == inhom_norm(f, 1.5)
 
-    def test_invalid_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            NormKind("besov", 1.0)
-        with pytest.raises(ValueError):
-            NormKind.inhom(-1.0)
-        with pytest.raises(ValueError):
-            NormKind.hom(math.nan)
+class TestShellSpectrum:
+    ALPHA = 0.25
+    ORDERS = (0.0, ALPHA, -(2.0 - 3.0 * ALPHA))
+    LADDER = tuple(0.5 * 2.0 ** (i / 3.0) for i in range(16))
+
+    def test_radii_ascend_over_the_occupied_shells(self):
+        lat = make_lattice(16, TWO_PI)
+        radii, energy = shell_spectrum(unit_mode(lat, 3, 4))
+        shells = sorted({j1 * j1 + j2 * j2 for j1 in range(-8, 8) for j2 in range(-8, 8)})
+        np.testing.assert_allclose(radii, np.sqrt(shells[1:]), rtol=1e-15)
+        # the (3, 4) mode and its mirror lie on the shell of radius 5
+        assert np.count_nonzero(energy) == 1
+        assert energy[np.searchsorted(radii, 5.0)] == pytest.approx(
+            hom_norm(unit_mode(lat, 3, 4), 0.0) ** 2, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("box_len", [TWO_PI, 3.7])
+    @pytest.mark.parametrize("slope", [1.0, 8.0])
+    def test_prefix_and_suffix_sums_match_the_per_mode_filters(self, box_len, slope):
+        # A cutoff within an ulp of a shell radius is decided per shell: at
+        # box 3.7 some shells hold modes whose kmag differ by one ulp.  Every
+        # cutoff here either sits on a radius all of whose modes share it, or
+        # keeps 1e-9 from every mode.
+        lat = make_lattice(64, box_len)
+        f = gaussian_random_field(lat, slope, np.random.default_rng(11), band_limit=False)
+        radii, energy = shell_spectrum(f)
+        tiny_tails = 0
+        for delta in default_delta_ladder(lat) + self.LADDER:
+            gap = np.abs(lat.kmag - delta)
+            assert np.all((gap == 0.0) | (gap >= 1e-9)), delta
+            cut = np.searchsorted(radii, delta)
+            for s in self.ORDERS:
+                terms = energy * radii ** (2.0 * s)
+                want_low = hom_norm(low_pass(f, delta), s)
+                want_high = hom_norm(high_pass(f, delta), s)
+                low, high = math.sqrt(terms[:cut].sum()), math.sqrt(terms[cut:].sum())
+                assert low == pytest.approx(want_low, rel=1e-12, abs=0.0)
+                assert high == pytest.approx(want_high, rel=1e-12, abs=0.0)
+                tiny_tails += 0.0 < high**2 < 1e-12 * hom_norm(f, s) ** 2
+        if slope == 8.0:
+            # high parts far below the total, where total - low would have
+            # lost every digit
+            assert tiny_tails > 0
