@@ -67,6 +67,12 @@ class CheckOptions:
         values = [self.tol_l2, self.tol_h, self.decay_target, self.occupation_fraction]
         if not all(math.isfinite(v) for v in values + list(self.deltas or ())):
             raise ValueError("check options must be finite")
+        if not all(v > 0 for v in values):
+            raise ValueError(
+                "tol_l2, tol_h, decay_target and occupation_fraction must be positive"
+            )
+        if self.deltas is not None and not (self.deltas and all(d > 0 for d in self.deltas)):
+            raise ValueError("deltas must be a non-empty list of positive cutoffs")
 
 
 @dataclass
@@ -300,6 +306,8 @@ def cmd_decay(args):
     residuals_path = os.path.join(outdir, "residuals.csv")
     report.residuals_to_csv(residuals_path)
     manifest.outputs += [report_path, residuals_path]
+    if report.max_advection_pairing is not None:
+        manifest.stats["max_advection_pairing"] = report.max_advection_pairing
     manifest.verdicts = {
         "gate": report.gate_passed,
         "diagnostics": report.diagnostics_passed,

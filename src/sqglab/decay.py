@@ -15,6 +15,10 @@ The pipeline mirrors the two-step decay argument for small solutions:
 All diagnostics are read-only passes over a finished trajectory with stored
 snapshots; every bound is checked at the quadrature level where it is
 literally true, with small tolerances covering time discretization only.
+:func:`decay_experiment` takes the shell spectrum of each snapshot once: one
+sweep gives the band norms at every cutoff of the ladder and every order
+(0, alpha, -sigma), and the splitting ledger, the Duhamel integral, the
+step-1 occupation series and the embedding slack read their slices of it.
 """
 
 from __future__ import annotations
@@ -55,8 +59,10 @@ def _band_norms_sq(fields, deltas, orders):
     """Squared Hdot^s norms of the low (|xi| < delta) and high parts of fields.
 
     Returns ``(low, high)``, each shaped (fields, cutoffs, orders), from one
-    shell spectrum per field.  Both are direct sums over their shells, a
-    prefix and a suffix, so a high tail far below the total keeps its digits.
+    sweep that takes one shell spectrum per field for the whole ladder.  Both
+    are direct sums over their shells, a prefix and a suffix, so a high tail
+    far below the total keeps its digits.  The loop runs per field, so the
+    working memory is O(shells * orders) whatever the number of fields.
     """
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(deltas > 0):
@@ -72,6 +78,11 @@ def _band_norms_sq(fields, deltas, orders):
         low[i] = np.vstack([zero, np.cumsum(terms, axis=0)])[cut]
         high[i] = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], zero])[cut]
     return low, high
+
+
+def _ledger_orders(alpha):
+    """The orders (0, alpha, -sigma) every decay diagnostic reads."""
+    return (0.0, alpha, -(2.0 - 3.0 * alpha))
 
 
 def _require_snapshots(traj, minimum=2):
@@ -141,24 +152,8 @@ def split_diagnostics(traj, delta, c_hat, tol=1e-6):
     """
     _require_snapshots(traj)
     alpha = traj.config.alpha
-    low, _ = _band_norms_sq(traj.snapshots, [delta], (0.0, alpha))
-    w_l2sq, w_ha = low[:, 0, 0], low[:, 0, 1]
-    int_w = float(np.trapezoid(w_ha, np.asarray(traj.snapshot_times)))
-
-    theta0_l2 = hom_norm(traj.snapshots[0], 0.0)
-    eps_delta = float(w_l2sq[0]) + c_hat * delta ** (2.0 - 2.0 * alpha) * theta0_l2**3
-
-    int_v, m_delta = duhamel_highfreq_bound(traj, delta, alpha, c_hat)
-    return SplitDiagnostics(
-        delta=float(delta),
-        sigma=2.0 - 3.0 * alpha,
-        sup_w_l2=math.sqrt(float(np.max(w_l2sq))),
-        int_w_ha=int_w,
-        eps_delta=eps_delta,
-        int_v_negsigma=int_v,
-        m_delta=m_delta,
-        tol=tol,
-    )
+    low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
+    return _split_ledgers(traj, [delta], alpha, c_hat, low, high, tol)[0]
 
 
 def duhamel_highfreq_bound(traj, delta, alpha, c_hat):
@@ -176,16 +171,41 @@ def duhamel_highfreq_bound(traj, delta, alpha, c_hat):
     _require_snapshots(traj)
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    sigma = 2.0 - 3.0 * alpha
-    _, high = _band_norms_sq(traj.snapshots, [delta], (-sigma,))
-    int_v = float(np.trapezoid(high[:, 0, 0], np.asarray(traj.snapshot_times)))
+    low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
+    split = _split_ledgers(traj, [delta], alpha, c_hat, low, high)[0]
+    return split.int_v_negsigma, split.m_delta
 
-    theta0_l2sq = hom_norm(traj.snapshots[0], 0.0) ** 2
+
+def _split_ledgers(traj, deltas, alpha, c_hat, low, high, tol=1e-6):
+    """The splitting ledger at every cutoff, from precomputed band norms.
+
+    ``low`` and ``high`` are ``_band_norms_sq(traj.snapshots, deltas,
+    _ledger_orders(alpha))``.  The single-cutoff functions and
+    :func:`decay_experiment` all evaluate eps_delta and M_delta here.
+    """
+    t = np.asarray(traj.snapshot_times)
+    sigma = 2.0 - 3.0 * alpha
+    theta0_l2 = hom_norm(traj.snapshots[0], 0.0)
     int_ha = float(np.trapezoid(traj.series.h_alpha**2, traj.series.times))
-    linear_part = math.sqrt(delta ** (-2.0 * sigma - 2.0 * alpha) * theta0_l2sq / 2.0)
-    forced_part = c_hat * math.sqrt(delta ** (-2.0 * alpha) * int_ha)
-    m_delta = (linear_part + forced_part) ** 2
-    return int_v, m_delta
+    splits = []
+    for j, delta in enumerate(deltas):
+        w_l2sq = low[:, j, 0]
+        eps_delta = float(w_l2sq[0]) + c_hat * delta ** (2.0 - 2.0 * alpha) * theta0_l2**3
+        linear_part = math.sqrt(delta ** (-2.0 * sigma - 2.0 * alpha) * theta0_l2**2 / 2.0)
+        forced_part = c_hat * math.sqrt(delta ** (-2.0 * alpha) * int_ha)
+        splits.append(
+            SplitDiagnostics(
+                delta=float(delta),
+                sigma=sigma,
+                sup_w_l2=math.sqrt(float(np.max(w_l2sq))),
+                int_w_ha=float(np.trapezoid(low[:, j, 1], t)),
+                eps_delta=eps_delta,
+                int_v_negsigma=float(np.trapezoid(high[:, j, 2], t)),
+                m_delta=(linear_part + forced_part) ** 2,
+                tol=tol,
+            )
+        )
+    return splits
 
 
 @dataclass
@@ -273,11 +293,11 @@ def cauchy_in_time_check(traj, alpha, c_hat, tol=1e-6, max_snapshots=64):
     """Worst ratio of ||theta(t) - theta(t')||_{L2} over (1 + C*M)*M*|t - t'|.
 
     M is the largest sampled critical norm.  Snapshots are strided down to
-    ``max_snapshots`` before forming all pairs.
+    at most ``max_snapshots`` before forming all pairs.
     """
     if len(traj.snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    stride = max(1, len(traj.snapshots) // max_snapshots)
+    stride = max(1, -(-len(traj.snapshots) // max_snapshots))
     snaps = traj.snapshots[::stride]
     times = traj.snapshot_times[::stride]
     sup_norm = float(np.max(traj.series.h_crit))
@@ -323,7 +343,11 @@ def estimate_cauchy_constant(lattice, alpha, count=32, seed=17):
 
 @dataclass
 class DecayReport:
-    """Full output of one decay experiment."""
+    """Full output of one decay experiment.
+
+    ``max_advection_pairing`` is the worst pairing of a run with
+    ``track_cancellation`` (None otherwise); it stays out of the JSON report.
+    """
 
     gate_passed: bool
     gate_margin: float
@@ -340,6 +364,7 @@ class DecayReport:
     residual_times: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     target: float = 0.01
+    max_advection_pairing: float | None = None
 
     @property
     def diagnostics_passed(self):
@@ -395,8 +420,12 @@ class DecayReport:
                 handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _interp_and_embedding(traj, deltas):
-    """Per-snapshot interpolation residuals and the two-norm embedding slack."""
+def _interp_and_embedding(traj, deltas, high=None):
+    """Per-snapshot interpolation residuals and the two-norm embedding slack.
+
+    ``high`` is the high part of ``_band_norms_sq(traj.snapshots, deltas,
+    _ledger_orders(alpha))``; it is computed when not given.
+    """
     alpha = traj.config.alpha
     sigma = 2.0 - 3.0 * alpha
     a = alpha / (sigma + alpha)
@@ -410,8 +439,9 @@ def _interp_and_embedding(traj, deltas):
         interp_rel[i] = gap / rhs if rhs > 0 else 0.0
     # Hdot^{-sigma} cap Hdot^alpha controls L2:
     # ||v||_{L2}^2 <= ||v||_{Hdot^-sigma}^{2a} ||v||_{Hdot^alpha}^{2(1-a)}
-    _, high = _band_norms_sq(traj.snapshots, deltas, (0.0, -sigma, alpha))
-    v_l2sq, v_neg, v_ha = high[..., 0], high[..., 1], high[..., 2]
+    if high is None:
+        _, high = _band_norms_sq(traj.snapshots, deltas, _ledger_orders(alpha))
+    v_l2sq, v_ha, v_neg = high[..., 0], high[..., 1], high[..., 2]
     occupied = v_l2sq > 0
     slack = (v_l2sq - v_neg**a * v_ha ** (1 - a)) / np.where(occupied, v_l2sq, 1.0)
     embed = np.max(np.where(occupied, slack, 0.0), axis=1, initial=0.0)
@@ -459,7 +489,9 @@ def decay_experiment(
     ratio = terminal_norm / initial_norm if initial_norm > 0 else 0.0
     ratio_hom = hom_norm(traj.final, order) / h0_hom if h0_hom > 0 else 0.0
 
-    splits = [split_diagnostics(traj, d, c_hat) for d in deltas]
+    _require_snapshots(traj)
+    low, high = _band_norms_sq(traj.snapshots, deltas, _ledger_orders(cfg.alpha))
+    splits = _split_ledgers(traj, deltas, cfg.alpha, c_hat, low, high)
 
     # step-1 occupation: time above threshold for each high-frequency tail
     l2_0 = float(traj.series.l2[0])
@@ -468,7 +500,6 @@ def decay_experiment(
     first_good = 0.0
     if l2_0 > 0:
         eps_l2 = occupation_fraction * l2_0
-        _, high = _band_norms_sq(traj.snapshots, deltas, (0.0,))
         occupations_low = [
             occupation_report(t_snap, v_l2, 0.5 * eps_l2, 2.0)
             for v_l2 in np.sqrt(high[:, :, 0].T)
@@ -488,7 +519,7 @@ def decay_experiment(
             (2.0 - cfg.alpha) / (1.0 - cfg.alpha),
         )
 
-    t_res, interp_rel, embed = _interp_and_embedding(traj, deltas)
+    t_res, interp_rel, embed = _interp_and_embedding(traj, deltas, high)
     cauchy = cauchy_in_time_check(traj, cfg.alpha, cauchy_c_hat)
 
     return DecayReport(
@@ -507,4 +538,7 @@ def decay_experiment(
         residual_times=t_res,
         residuals={"interp_gap_rel": interp_rel, "embed_slack_rel": embed},
         target=target,
+        max_advection_pairing=(
+            None if traj.cancellation is None else float(traj.cancellation.max())
+        ),
     )

@@ -265,6 +265,52 @@ class TestDecayCommand:
         assert main(["decay", str(cfg), "--out", str(out), "--target", target]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "deltas=[-1.0]",
+            "deltas=[1.0,0.0]",
+            "deltas=[]",
+            "occupation_fraction=0",
+            "decay_target=-0.5",
+            "tol_l2=0",
+            "tol_h=-1e-3",
+        ],
+    )
+    def test_non_positive_check_option_exits_usage(self, tmp_path, override):
+        cfg = write_config(tmp_path / "run.json", snapshot_every=5)
+        out = tmp_path / "o"
+        assert main(["decay", str(cfg), "--out", str(out), "--set", override]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_manifest_reports_the_advection_pairing(self, tmp_path):
+        from sqglab.cli import load_config
+        from sqglab import initial_field, simulate
+
+        tracked = write_config(
+            tmp_path / "tracked.json", snapshot_every=5, track_cancellation=True
+        )
+        plain = write_config(tmp_path / "plain.json", snapshot_every=5)
+        out, out_plain = tmp_path / "out", tmp_path / "plain"
+        assert main(["decay", str(tracked), "--out", str(out), "--target", "0.99"]) == EXIT_OK
+        assert main(["decay", str(plain), "--out", str(out_plain), "--target", "0.99"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg, _ = load_config(tracked)
+        record = simulate(initial_field(cfg), cfg)
+        pairing = manifest["stats"]["max_advection_pairing"]
+        assert pairing == float(record.cancellation.max())
+        assert pairing <= 1e-10
+        # the pairing goes to the manifest only
+        report = out / "decay_report.json"
+        assert report.read_bytes() == (out_plain / "decay_report.json").read_bytes()
+
+    def test_untracked_run_reports_no_pairing(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", snapshot_every=5)
+        out = tmp_path / "out"
+        assert main(["decay", str(cfg), "--out", str(out), "--target", "0.99"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "max_advection_pairing" not in manifest["stats"]
+
     def test_forced_run_records_the_failed_gate(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.json",

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sqglab.decay
 from sqglab import (
     GateError,
     SolverConfig,
@@ -214,6 +216,25 @@ class TestCauchyInTime:
         with pytest.raises(ValueError):
             cauchy_in_time_check(traj, ALPHA, 1.0)
 
+    @pytest.mark.parametrize("count, used", [(351, 59), (128, 64)])
+    def test_stride_keeps_at_most_max_snapshots(self, monkeypatch, count, used):
+        lat = make_lattice(16, TWO_PI)
+        traj = SimpleNamespace(
+            snapshots=[unit_mode(lat, 1, 0, amp=1.0 + i) for i in range(count)],
+            snapshot_times=[0.01 * i for i in range(count)],
+            series=SimpleNamespace(h_crit=np.array([1.0])),
+        )
+        calls = []
+        real = sqglab.decay.hom_norm
+        monkeypatch.setattr(
+            sqglab.decay, "hom_norm", lambda f, s: calls.append(s) or real(f, s)
+        )
+        cauchy_in_time_check(traj, ALPHA, 1.0, max_snapshots=64)
+        # one norm per pair of the kept snapshots
+        kept = (1 + math.isqrt(1 + 8 * len(calls))) // 2
+        assert kept * (kept - 1) // 2 == len(calls)
+        assert kept == used <= 64
+
     def test_ratio_stable_under_dt_refinement(self):
         # the fitted Lipschitz ratio is a property of the flow, not the step
         ratios = []
@@ -337,3 +358,25 @@ class TestShellSpectrumPath:
         want = oracles.embedding_slack(traj, deltas)
         np.testing.assert_allclose(embed, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(report.residuals["embed_slack_rel"], embed)
+
+    def test_one_shell_sweep_gives_the_single_cutoff_results_exactly(self, monkeypatch):
+        cfg = run_config(t_end=1.0, snapshot_every=2)
+        theta0 = initial_field(cfg)
+        traj = simulate(theta0, cfg)
+        deltas = default_delta_ladder(cfg.lattice()) + (1.7, 5.3, 9.9)
+        c_hat = 0.7
+        calls = []
+        real = sqglab.decay.shell_spectrum
+        monkeypatch.setattr(
+            sqglab.decay, "shell_spectrum", lambda f: calls.append(f) or real(f)
+        )
+        report = decay_experiment(
+            cfg, theta0, deltas=deltas, c_hat=c_hat, cauchy_c_hat=1.0, target=math.inf
+        )
+        assert len(calls) <= 2 * len(traj.snapshots) + 2
+        assert len(report.splits) == len(deltas)
+        for delta, split in zip(deltas, report.splits):
+            assert split.to_json_dict() == split_diagnostics(traj, delta, c_hat).to_json_dict()
+            assert (split.int_v_negsigma, split.m_delta) == duhamel_highfreq_bound(
+                traj, delta, ALPHA, c_hat
+            )
