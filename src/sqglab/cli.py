@@ -65,6 +65,8 @@ class CheckOptions:
 
     def __post_init__(self):
         values = [self.tol_l2, self.tol_h, self.decay_target, self.occupation_fraction]
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError("check options must be numbers, not booleans")
         if not all(math.isfinite(v) for v in values + list(self.deltas or ())):
             raise ValueError("check options must be finite")
         if not all(v > 0 for v in values):
@@ -332,7 +334,7 @@ def _sweep_row(payload):
     try:
         cfg = SolverConfig(**data)
         record = simulate(initial_field(cfg), cfg)
-        ledger = energy_ledger(record, tol_l2=checks["tol_l2"], tol_h=checks["tol_h"])
+        ledger = energy_ledger(record, tol_l2=checks.tol_l2, tol_h=checks.tol_h)
         h0 = float(record.series.h_crit[0])
         row.update(
             seed=cfg.seed,
@@ -372,10 +374,10 @@ def cmd_sweep(args):
     bad_axes = set(grid) - set(_SWEEP_AXES)
     if bad_axes:
         raise UsageError(f"unsupported sweep axes: {sorted(bad_axes)}")
-    checks = {
-        "tol_l2": spec.get("tol_l2", 1e-4),
-        "tol_h": spec.get("tol_h", 1e-3),
-    }
+    try:
+        checks = CheckOptions(**{k: spec[k] for k in ("tol_l2", "tol_h") if k in spec})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid sweep tolerances: {exc}") from exc
     axes = [(name, list(grid[name])) for name in _SWEEP_AXES if name in grid]
     combos = list(itertools.product(*(vals for _, vals in axes))) or [()]
     try:

@@ -178,3 +178,64 @@ def embedding_slack(traj, deltas):
             rhs = v_neg[i] ** (2 * a) * v_ha[i] ** (2 * (1 - a))
             worst[i] = max(worst[i], (v_l2[i] ** 2 - rhs) / v_l2[i] ** 2)
     return worst
+
+
+def exp_kernel_sides(h, sigma, t_end):
+    """Both sides of the exponential-kernel inequality for one 1-d profile.
+
+    The left side is squared as a Python float, as the package does.
+    """
+    z = np.linspace(0.0, t_end, h.size)
+    kernel = np.exp(-sigma * (t_end - z))
+    lhs = float(np.trapezoid(kernel * h, z)) ** 2
+    rhs = (2.0 / sigma) * float(np.trapezoid(kernel * h**2, z))
+    return lhs, rhs
+
+
+def exp_kernel_ensemble(count, seed, grid=201, sigma_range=(0.05, 10.0), t_range=(0.1, 5.0)):
+    """The 2.5-expkernel ensemble one profile at a time.
+
+    Same draws in the same order as estimate_constant; each profile gets its
+    own grid, kernel and two 1-d trapezoid sums (exp_kernel_sides).  Returns
+    (max_ratio, violations, degenerate_samples).
+    """
+    rng = np.random.default_rng(seed)
+    max_ratio, violations, degenerate = 0.0, 0, 0
+    for _ in range(count):
+        sigma = float(rng.uniform(*sigma_range))
+        t_end = float(rng.uniform(*t_range))
+        segments = int(rng.integers(1, 12))
+        levels = rng.uniform(0.0, 3.0, size=segments)
+        h = np.repeat(levels, -(-grid // segments))[:grid]
+        lhs, rhs = exp_kernel_sides(h, sigma, t_end)
+        tol = (sigma * (t_end / (grid - 1))) ** 2 / 8.0 + 1e-9
+        if rhs == 0.0:
+            if lhs > 0.0:
+                violations += 1
+            else:
+                degenerate += 1
+            continue
+        max_ratio = max(max_ratio, lhs / rhs)
+        if lhs / rhs > 1.0 + tol:
+            violations += 1
+    return max_ratio, violations, degenerate
+
+
+def elementary_ensemble(count, seed, mag_range=(0.0, 10.0), sigma_range=(1.0, 2.0)):
+    """The elementary ensemble over whole arrays, no slicing.
+
+    Returns (max_ratio, violations, degenerate_samples).
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(*mag_range, size=count)
+    c = rng.uniform(*mag_range, size=count)
+    s = rng.uniform(*sigma_range, size=count)
+    gap = np.abs(a - c)
+    lhs = np.abs(a**s - c**s)
+    rhs = s * 2.0 ** (s - 1.0) * gap * (c ** (s - 1.0) + gap ** (s - 1.0))
+    zero = rhs == 0.0
+    degenerate = int(np.count_nonzero(zero & (lhs == 0.0)))
+    violations = int(np.count_nonzero((zero & (lhs > 0.0)) | (~zero & (lhs > rhs * (1 + 1e-12)))))
+    good = ~zero
+    max_ratio = float(np.max(lhs[good] / rhs[good])) if good.any() else 0.0
+    return max_ratio, violations, degenerate

@@ -407,6 +407,45 @@ class TestSweepCommand:
         path = self.make_spec(tmp_path, grid={"flux_capacitor": [1]})
         assert main(["sweep", str(path), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"tol_l2": -1.0, "tol_h": "abc"},
+            {"tol_l2": 0.0},
+            {"tol_h": -1e-3},
+            {"tol_l2": "abc"},
+            {"tol_h": None},
+            {"tol_l2": [1e-4]},
+            {"tol_l2": float("inf")},
+            {"tol_h": float("nan")},
+            {"tol_h": True},
+        ],
+        ids=[
+            "negative-and-text",
+            "zero-l2",
+            "negative-h",
+            "text-l2",
+            "null-h",
+            "list-l2",
+            "inf-l2",
+            "nan-h",
+            "bool-h",
+        ],
+    )
+    def test_bad_tolerance_exits_usage_before_any_row(self, tmp_path, tolerances):
+        path = self.make_spec(tmp_path, **tolerances)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_valid_tolerances_leave_the_csv_unchanged(self, tmp_path):
+        default = self.make_spec(tmp_path, grid={"alpha": [0.2, 0.3]})
+        out_default, out_set = tmp_path / "d.csv", tmp_path / "t.csv"
+        assert main(["sweep", str(default), "--out", str(out_default)]) == EXIT_OK
+        explicit = self.make_spec(tmp_path, grid={"alpha": [0.2, 0.3]}, tol_l2=0.5, tol_h=2e-2)
+        assert main(["sweep", str(explicit), "--out", str(out_set)]) == EXIT_OK
+        assert out_default.read_bytes() == out_set.read_bytes()
+
 
 class TestParser:
     def test_missing_subcommand_is_usage(self):

@@ -18,7 +18,9 @@ from sqglab import (
     multi_mode_field,
     unit_mode,
 )
-from sqglab.lemmas import exp_kernel_tolerance
+import sqglab.lemmas
+from oracles import elementary_ensemble, exp_kernel_ensemble, exp_kernel_sides
+from sqglab.lemmas import _ELEMENTARY_CHUNK, _EXP_KERNEL_BLOCK, exp_kernel_tolerance
 
 TWO_PI = 2.0 * np.pi
 ALPHA = 0.25
@@ -120,6 +122,21 @@ class TestTrilinear:
         with pytest.raises(ValueError):
             check_trilinear(unit_mode(lat, 1, 0), 0.8, ALPHA)
 
+    def test_scalar_sigma_returns_one_pair(self, lat):
+        theta = gaussian_random_field(lat, 3.0, np.random.default_rng(7))
+        pair = check_trilinear(theta, 1.5, ALPHA)
+        assert isinstance(pair, tuple) and len(pair) == 2
+
+    def test_sigma_sequence_equals_one_call_per_sigma(self, lat):
+        theta = gaussian_random_field(lat, 3.0, np.random.default_rng(8))
+        sigmas = (1.0, 1.5, 2.0 - 2.0 * ALPHA)
+        pairs = check_trilinear(theta, sigmas, ALPHA)
+        assert pairs == [check_trilinear(theta, sigma, ALPHA) for sigma in sigmas]
+
+    def test_one_sigma_below_one_in_a_sequence_rejected(self, lat):
+        with pytest.raises(ValueError):
+            check_trilinear(unit_mode(lat, 1, 0), (1.0, 0.8), ALPHA)
+
 
 class TestBilinear:
     def test_identical_single_modes_vanish(self, lat):
@@ -211,6 +228,70 @@ class TestExpKernel:
             check_exp_kernel(np.ones(1), 1.0, 1.0)
 
 
+class TestExpKernelBlock:
+    @staticmethod
+    def block(rows=2048, grid=201, seed=14):
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.0, 3.0, size=(rows, grid))
+        h[::7] = 0.0  # some all-zero rows
+        sigma = rng.uniform(0.05, 10.0, size=rows)
+        t_end = rng.uniform(0.1, 5.0, size=rows)
+        return h, sigma, t_end
+
+    def test_block_equals_row_by_row_calls_exactly(self):
+        # 2048 rows at seed 14 include left sides where numpy's x**2 and
+        # Python's float ** 2 differ by an ulp
+        h, sigma, t_end = self.block()
+        lhs, rhs = check_exp_kernel(h, sigma, t_end)
+        assert lhs.shape == rhs.shape == (h.shape[0],)
+        for i in range(h.shape[0]):
+            args = h[i], float(sigma[i]), float(t_end[i])
+            assert (lhs[i], rhs[i]) == check_exp_kernel(*args) == exp_kernel_sides(*args)
+
+    def test_scalar_parameters_apply_to_every_row(self):
+        h, _, _ = self.block(rows=5)
+        lhs, rhs = check_exp_kernel(h, 2.0, 3.0)
+        for i in range(5):
+            assert (lhs[i], rhs[i]) == check_exp_kernel(h[i], 2.0, 3.0)
+
+    def test_one_dimensional_call_returns_two_floats(self):
+        lhs, rhs = check_exp_kernel(np.ones(16), 1.0, 1.0)
+        assert type(lhs) is float and type(rhs) is float
+
+    def test_negative_entry_in_one_row_rejected(self):
+        h, sigma, t_end = self.block(rows=8)
+        h[5, 100] = -1e-3
+        with pytest.raises(ValueError):
+            check_exp_kernel(h, sigma, t_end)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bad_sigma_in_one_row_rejected(self, bad):
+        h, sigma, t_end = self.block(rows=8)
+        sigma[3] = bad
+        with pytest.raises(ValueError):
+            check_exp_kernel(h, sigma, t_end)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_bad_t_end_in_one_row_rejected(self, bad):
+        h, sigma, t_end = self.block(rows=8)
+        t_end[6] = bad
+        with pytest.raises(ValueError):
+            check_exp_kernel(h, sigma, t_end)
+
+    def test_rows_of_one_sample_rejected(self):
+        with pytest.raises(ValueError):
+            check_exp_kernel(np.ones((4, 1)), 1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_ensemble_matches_a_per_sample_loop_exactly(self, seed):
+        count = 2500
+        assert count % _EXP_KERNEL_BLOCK != 0
+        spec = EnsembleSpec(count=count, seed=seed)
+        report = estimate_constant(spec, "2.5-expkernel")
+        reference = exp_kernel_ensemble(count, seed)
+        assert (report.max_ratio, report.violations, report.degenerate_samples) == reference
+
+
 class TestEstimateConstant:
     def test_zero_ensemble_is_flagged_degenerate(self, lat):
         spec = EnsembleSpec(
@@ -278,6 +359,29 @@ class TestEstimateConstant:
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
         with pytest.raises(ValueError):
             estimate_constant(spec, "99-bogus", {})
+
+    @pytest.mark.parametrize("seed,mag_range", [(1, (0.0, 10.0)), (4, (0.0, 10.0)), (2, (0.0, 0.0))])
+    def test_elementary_slices_match_the_whole_array_exactly(self, seed, mag_range):
+        # the zero range makes every sample degenerate, so the counts must add up
+        count = _ELEMENTARY_CHUNK + 17
+        spec = EnsembleSpec(count=count, seed=seed)
+        report = estimate_constant(spec, "elementary", {"mag_range": mag_range})
+        reference = elementary_ensemble(count, seed, mag_range)
+        assert (report.max_ratio, report.violations, report.degenerate_samples) == reference
+
+    def test_trilinear_advects_each_field_once(self, lat, monkeypatch):
+        calls = []
+        advect = sqglab.lemmas.advect
+
+        def counted(w, theta):
+            calls.append(1)
+            return advect(w, theta)
+
+        monkeypatch.setattr(sqglab.lemmas, "advect", counted)
+        spec = EnsembleSpec(count=12, generator="gaussian", seed=3, lattice=lat)
+        report = estimate_constant(spec, "2.3-trilinear", {"alpha": ALPHA})
+        assert len(calls) == spec.count
+        assert report.samples == spec.count and report.passed
 
     def test_scalar_lemmas_need_no_lattice(self):
         spec = EnsembleSpec(count=1000, generator="gaussian", seed=1)
