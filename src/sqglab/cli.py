@@ -128,10 +128,6 @@ def load_config(path, overrides=()):
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     solver_kwargs = {k: v for k, v in data.items() if k in _SOLVER_KEYS}
-    if solver_kwargs.get("init_modes") is not None:
-        solver_kwargs["init_modes"] = tuple(
-            tuple(m) for m in solver_kwargs["init_modes"]
-        )
     check_kwargs = {k: v for k, v in data.items() if k in _CHECK_KEYS}
     try:
         if check_kwargs.get("deltas") is not None:
@@ -371,9 +367,14 @@ def cmd_sweep(args):
         raise UsageError("sweep spec must be an object with a 'base' config")
     base = dict(spec["base"])
     grid = spec.get("grid", {})
+    if not isinstance(grid, dict):
+        raise UsageError("sweep grid must be an object mapping axes to value lists")
     bad_axes = set(grid) - set(_SWEEP_AXES)
     if bad_axes:
         raise UsageError(f"unsupported sweep axes: {sorted(bad_axes)}")
+    for name, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise UsageError(f"sweep axis {name!r} must be a non-empty list, got {values!r}")
     try:
         checks = CheckOptions(**{k: spec[k] for k in ("tol_l2", "tol_h") if k in spec})
     except (TypeError, ValueError) as exc:

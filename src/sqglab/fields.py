@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .norms import hom_norm, inhom_norm
-from .spectral import SpectralField, _hermitian_part
+from .norms import _half_sq_norms, hom_norm, inhom_norm
+from .spectral import SpectralField, _expand_half, _fold_half
 
 __all__ = [
     "gaussian_random_field",
@@ -17,14 +19,15 @@ __all__ = [
 
 
 def _finalize(lattice, coeffs, normalize):
-    coeffs = _hermitian_part(coeffs)
-    coeffs[0, 0] = 0.0
-    f = SpectralField(lattice, coeffs)
+    # project onto real fields through the half spectrum, which holds all
+    # of a real field's modes, and normalise there before expanding
+    half = _fold_half(coeffs)
+    half[0, 0] = 0.0
     if normalize:
-        scale = hom_norm(f, 0.0)
+        scale = math.sqrt(float(_half_sq_norms(lattice, half, 0.0)))
         if scale > 0:
-            f = f * (1.0 / scale)
-    return f
+            half *= 1.0 / scale
+    return SpectralField(lattice, _expand_half(half, lattice.n))
 
 
 def gaussian_random_field(lattice, slope, rng, band_limit=True, normalize=True):

@@ -14,6 +14,13 @@ slices of the drawn arrays, exponential-kernel profiles in fixed blocks of
 rows (one :func:`check_exp_kernel` call per block), and the trilinear shape
 forms its advection term once per field for every sigma.  The random draws
 keep their per-sample order, so the reports do not depend on the block sizes.
+
+The field shapes work on the rfft2 half spectrum through private cores that
+the public ``check_*`` functions wrap.  A product-law sample makes one kernel
+call: f is transformed once against the stack (g, u1, u2) of its partners,
+and f's norms are taken once.  A bilinear sample makes one kernel call for
+the pairs (omega, theta) and (theta, theta), which share grad(theta), and
+norms omega and theta once each.
 """
 
 from __future__ import annotations
@@ -24,8 +31,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import draw_field, multi_mode_field
-from .norms import hom_norm, scalar_product
-from .spectral import advect, multiply, riesz_velocity
+# multiply and scalar_product are not called here any more; they stay bound
+# in this module because perfbench/spans.py wraps them
+from .norms import (  # noqa: F401
+    _half,
+    _half_pairings,
+    _half_sq_norms,
+    hom_norm,
+    scalar_product,
+)
+from .spectral import (  # noqa: F401
+    _advection_coeffs,
+    _half_multipliers,
+    _quadratic_coeffs,
+    advect,
+    multiply,
+)
 
 __all__ = [
     "EnsembleSpec",
@@ -142,6 +163,34 @@ def _safe_ratio(lhs, denom):
     return lhs / denom
 
 
+def _norms(lat, half, s):
+    """Hdot^s norms of a stack of half spectra, as Python floats."""
+    return np.sqrt(_half_sq_norms(lat, half, s)).tolist()
+
+
+def _product_law_core(lat, f, gs, s1, s2):
+    """Product-law ratio pairs of the half spectrum ``f`` against each of ``gs``.
+
+    ``gs`` stacks k half spectra, shape (k, n, n//2 + 1); the k products are
+    formed in one kernel call that transforms ``f`` once.  Returns one
+    (two_term_ratio, product_ratio) per partner, as in check_product_law.
+    """
+    if not s1 < 1.0:
+        raise ValueError(f"need s1 < 1, got s1={s1}")
+    if not s1 + s2 > 0.0:
+        raise ValueError(f"need s1 + s2 > 0, got {s1 + s2}")
+    products, _ = _quadratic_coeffs(lat, f[None, None], gs[:, None])
+    lhs = _norms(lat, products, s1 + s2 - 1.0)
+    fields = np.concatenate((f[None], gs))
+    (f1, *g1s), (f2, *g2s) = _norms(lat, fields, s1), _norms(lat, fields, s2)
+    ratios = []
+    for left, g1, g2 in zip(lhs, g1s, g2s):
+        two_term = _safe_ratio(left, f1 * g2 + f2 * g1)
+        product = _safe_ratio(left, f1 * g2) if s2 < 1.0 else None
+        ratios.append((two_term, product))
+    return ratios
+
+
 def check_product_law(f, g, s1, s2):
     """Ratios for the two product laws at order s1 + s2 - 1.
 
@@ -151,16 +200,8 @@ def check_product_law(f, g, s1, s2):
     Requires s1 < 1 and s1 + s2 > 0; the product is dealiased and mean-free,
     so negative orders are well defined.
     """
-    if not s1 < 1.0:
-        raise ValueError(f"need s1 < 1, got s1={s1}")
-    if not s1 + s2 > 0.0:
-        raise ValueError(f"need s1 + s2 > 0, got {s1 + s2}")
-    lhs = hom_norm(multiply(f, g), s1 + s2 - 1.0)
-    f1, f2 = hom_norm(f, s1), hom_norm(f, s2)
-    g1, g2 = hom_norm(g, s1), hom_norm(g, s2)
-    two_term = _safe_ratio(lhs, f1 * g2 + f2 * g1)
-    product = _safe_ratio(lhs, f1 * g2) if s2 < 1.0 else None
-    return two_term, product
+    f._check(g)
+    return _product_law_core(f.lattice, _half(f), _half(g)[None], s1, s2)[0]
 
 
 def check_trilinear(theta, sigma, alpha):
@@ -182,16 +223,42 @@ def check_trilinear(theta, sigma, alpha):
             raise ValueError(f"need sigma >= 1, got {s}")
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    term = advect(theta, theta)
-    crit = hom_norm(theta, 2.0 - 2.0 * alpha)
+    lat, th = theta.lattice, _half(theta)
+    term = _half(advect(theta, theta))
+    (crit,) = _norms(lat, th[None], 2.0 - 2.0 * alpha)
     pairs = [
         (
-            abs(scalar_product(term, theta, s, homogeneous=False)),
-            s * 2.0**s * crit * hom_norm(theta, s + alpha) ** 2,
+            abs(float(_half_pairings(lat, term, th, s, homogeneous=False))),
+            s * 2.0**s * crit * float(_half_sq_norms(lat, th, s + alpha)),
         )
         for s in sigmas
     ]
     return pairs[0] if scalar else pairs
+
+
+def _bilinear_core(lat, pair, alpha, include_self=True):
+    """Bilinear ratio pairs from the half spectra ``pair`` = (omega, theta).
+
+    The advection terms of (omega, theta) and, with ``include_self``,
+    (theta, theta) come from one kernel call sharing grad(theta); the norms
+    of omega and theta are taken once each.  Returns one (first, second)
+    per pair, as in check_bilinear.
+    """
+    if not 0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    s = 2.0 - 2.0 * alpha
+    theta = pair[1]
+    terms, _ = _advection_coeffs(lat, pair if include_self else pair[:1], theta)
+    lhs = np.abs(_half_pairings(lat, terms, theta, s, homogeneous=False)).tolist()
+    crit, high = _norms(lat, pair, s), _norms(lat, pair, 2.0 - alpha)
+    th_crit, th_high = crit[1], high[1]
+    return [
+        (
+            _safe_ratio(left, high[i] * th_crit * th_high),
+            _safe_ratio(left, crit[i] * th_high**2),
+        )
+        for i, left in enumerate(lhs)
+    ]
 
 
 def check_bilinear(omega, theta, alpha):
@@ -202,17 +269,10 @@ def check_bilinear(omega, theta, alpha):
     ||omega||_{Hdot^{2-a}} ||theta||_{Hdot^{2-2a}} ||theta||_{Hdot^{2-a}}
     and against ||omega||_{Hdot^{2-2a}} ||theta||^2_{Hdot^{2-a}}.
     """
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     if not omega.lattice.compatible(theta.lattice):
         raise ValueError("fields live on different lattices")
-    s = 2.0 - 2.0 * alpha
-    term = advect(omega, theta)
-    lhs = abs(scalar_product(term, theta, s, homogeneous=False))
-    th_crit, th_high = hom_norm(theta, s), hom_norm(theta, 2.0 - alpha)
-    first = _safe_ratio(lhs, hom_norm(omega, 2.0 - alpha) * th_crit * th_high)
-    second = _safe_ratio(lhs, hom_norm(omega, s) * th_high**2)
-    return first, second
+    pair = np.stack((_half(omega), _half(theta)))
+    return _bilinear_core(omega.lattice, pair, alpha, include_self=False)[0]
 
 
 def check_exp_kernel(h, sigma, t_end):
@@ -362,14 +422,12 @@ def estimate_constant(spec, which, params=None):
         want_product = which == "2.2-productlaw"
         riesz_pairs = bool(params.get("riesz_pairs", True))
         for _ in range(spec.count):
-            f = _draw(spec, rng)
-            g = _draw(spec, rng)
-            pairs = [(f, g)]
-            if riesz_pairs:
-                u1, u2 = riesz_velocity(f)
-                pairs += [(f, u1), (f, u2)]
-            for a, b in pairs:
-                two_term, product = check_product_law(a, b, s1, s2)
+            f, g = _draw(spec, rng), _draw(spec, rng)
+            f, partners = _half(f), _half(g)[None]
+            if riesz_pairs:  # the Riesz velocity (u1, u2) of f
+                velocity = _half_multipliers(spec.lattice)[0]
+                partners = np.concatenate((partners, velocity * f))
+            for two_term, product in _product_law_core(spec.lattice, f, partners, s1, s2):
                 tally.add(product if want_product else two_term)
 
     elif which == "2.3-trilinear":
@@ -387,13 +445,9 @@ def estimate_constant(spec, which, params=None):
         form = params.get("form", "both")
         include_self = bool(params.get("include_self", True))
         for _ in range(spec.count):
-            omega = _draw(spec, rng)
-            theta = _draw(spec, rng)
-            pairs = [(omega, theta)]
-            if include_self:
-                pairs.append((theta, theta))
-            for w, t in pairs:
-                first, second = check_bilinear(w, t, alpha)
+            omega, theta = _draw(spec, rng), _draw(spec, rng)
+            pair = np.stack((_half(omega), _half(theta)))
+            for first, second in _bilinear_core(spec.lattice, pair, alpha, include_self):
                 if form in ("2.5", "both"):
                     tally.add(first)
                 if form in ("2.6", "both"):

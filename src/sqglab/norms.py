@@ -8,6 +8,13 @@ coefficient sum equal the physical integral is ``box_len**2 / n**4``:
 Homogeneous norms weight each mode by |xi|^{2s} (zero mode excluded); the
 inhomogeneous norm of order s > 0 is the equivalent form
 sqrt(||f||_{L2}^2 + |||D|^s f||_{L2}^2).
+
+Every norm, pairing and shell sum is read from the rfft2 half spectrum,
+columns 0 .. n/2 of the coefficients, through one cached weight per order
+(:func:`_half_weight`): the columns n/2+1 .. n-1 are the conjugate mirror of
+columns n/2-1 .. 1 and count through a column weight of 2.  The fields must
+therefore be conjugate-symmetric, as every field the package builds is.
+Stacks of half spectra (k, n, n//2 + 1) reduce in one call, slice by slice.
 """
 
 from __future__ import annotations
@@ -31,28 +38,67 @@ def parseval_weight(lattice):
     return lattice.box_len**2 / float(lattice.n) ** 4
 
 
+def _half_weight(lattice, s, homogeneous=True):
+    """Per-mode weight on the rfft2 half spectrum, shape (n, n//2 + 1).
+
+    The Parseval weight times the column weight (1 on the self-paired
+    columns 0 and n/2, 2 on the others, which stand for themselves and their
+    conjugate mirror) times |xi|^(2s), or times 1 + |xi|^(2s) for the
+    inhomogeneous pairing; mode (0, 0) weighs 0.  Cached per lattice.
+    """
+    key = ("half-weight", float(s), homogeneous)
+    cached = lattice._symbol_cache.get(key)
+    if cached is None:
+        m = lattice.n // 2 + 1
+        column = np.full(m, 2.0)
+        column[0] = column[-1] = 1.0
+        symbol = lattice.symbol_power(2.0 * s)[:, :m]
+        if not homogeneous:
+            symbol = 1.0 + symbol
+            symbol[0, 0] = 0.0
+        cached = parseval_weight(lattice) * column * symbol
+        lattice._symbol_cache[key] = cached
+    return cached
+
+
+def _half_sq_norms(lattice, half, s):
+    """Squared Hdot^s norms of half spectra: one per (n, n//2 + 1) slice of ``half``."""
+    mag2 = half.real**2 + half.imag**2
+    return np.sum(_half_weight(lattice, s) * mag2, axis=(-2, -1))
+
+
+def _half_pairings(lattice, a, b, s, homogeneous=True):
+    """Real scalar products at order s of half spectra, broadcast over leading axes."""
+    cross = a.real * b.real + a.imag * b.imag
+    return np.sum(_half_weight(lattice, s, homogeneous) * cross, axis=(-2, -1))
+
+
+def _half(f):
+    return f.coeffs[:, : f.lattice.n // 2 + 1]
+
+
 def hom_norm(f, s):
     """Homogeneous Sobolev norm |||D|^s f||_{L2}; s may be any finite real."""
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("norm order must be finite")
-    w = f.lattice.symbol_power(2.0 * s)
-    total = parseval_weight(f.lattice) * float(np.sum(w * np.abs(f.coeffs) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(float(_half_sq_norms(f.lattice, _half(f), s)))
 
 
 def _shells(lattice):
-    """Shell index per mode and the ascending shell radii, cached per lattice.
+    """Shell index per half-spectrum mode and the ascending shell radii.
 
     Shell 0 is the mean mode alone; shells 1.. are the occupied integer
-    shells m = j1^2 + j2^2 >= 1.  A shell's radius is the ``kmag`` of its
-    first mode in storage order.
+    shells m = j1^2 + j2^2 >= 1, each of which meets the half spectrum.  A
+    shell's radius is the ``kmag`` of its first mode in storage order, which
+    lies in the half spectrum.  Cached per lattice.
     """
     cached = lattice._symbol_cache.get("shells")
     if cached is None:
-        m = (lattice.modes1**2 + lattice.modes2**2).ravel()
+        cols = lattice.n // 2 + 1
+        m = (lattice.modes1**2 + lattice.modes2**2)[:, :cols].ravel()
         _, first, index = np.unique(m, return_index=True, return_inverse=True)
-        cached = (index, lattice.kmag.ravel()[first[1:]])
+        cached = (index, lattice.kmag[:, :cols].ravel()[first[1:]])
         lattice._symbol_cache["shells"] = cached
     return cached
 
@@ -69,8 +115,9 @@ def shell_spectrum(f):
     is decided per shell, not per mode.
     """
     index, radii = _shells(f.lattice)
-    energy = np.bincount(index, weights=np.abs(f.coeffs).ravel() ** 2)
-    return radii, parseval_weight(f.lattice) * energy[1:]
+    half = _half(f)
+    weighted = _half_weight(f.lattice, 0.0) * (half.real**2 + half.imag**2)
+    return radii, np.bincount(index, weights=weighted.ravel())[1:]
 
 
 def inhom_norm(f, s):
@@ -90,16 +137,9 @@ def scalar_product(f, g, s=0.0, homogeneous=True):
     if not f.lattice.compatible(g.lattice):
         raise ValueError("fields live on different lattices")
     s = float(s)
-    if homogeneous:
-        w = f.lattice.symbol_power(2.0 * s)
-    else:
-        if not s > 0:
-            raise ValueError("inhomogeneous pairing requires s > 0")
-        w = 1.0 + f.lattice.symbol_power(2.0 * s)
-        w = w.copy()
-        w[0, 0] = 0.0
-    val = np.sum(w * f.coeffs * np.conj(g.coeffs))
-    return parseval_weight(f.lattice) * float(np.real(val))
+    if not (homogeneous or s > 0):
+        raise ValueError("inhomogeneous pairing requires s > 0")
+    return float(_half_pairings(f.lattice, _half(f), _half(g), s, homogeneous))
 
 
 def interpolation_gap(theta, alpha):

@@ -15,12 +15,13 @@ modeling assumptions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import fields as field_gen
-from .norms import inhom_norm, parseval_weight
+from .norms import _half_weight, inhom_norm
 from .spectral import (
     SpectralField,
     _advection_coeffs,
@@ -62,6 +63,35 @@ class CflError(RuntimeError):
     """Raised when the requested time step violates the advective CFL bound."""
 
 
+def _whole_number(name, value, low):
+    """``value`` as an int >= low; integral floats pass, bools do not."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def _mode(mode):
+    """One init_modes entry as (j1, j2, amplitude, phase): integral indices, finite reals."""
+    try:
+        j1, j2, amp, phase = mode
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"each init_modes entry must be [j1, j2, amplitude, phase], got {mode!r}"
+        ) from None
+    j1, j2 = (_whole_number("mode index", j, -math.inf) for j in (j1, j2))
+    for value in (amp, phase):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"mode amplitude and phase must be numbers, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"mode amplitude and phase must be finite, got {value!r}")
+    return (j1, j2, amp, phase)
+
+
 @dataclass
 class SolverConfig:
     """Run parameters.
@@ -84,7 +114,16 @@ class SolverConfig:
         default 0.25 / C_hat(alpha) with C_hat estimated by the inequality
         lab; always overridable.
     seed
-        seed for reproducible initial data.
+        seed for reproducible initial data, a nonnegative integer.
+    init_kind, init_slope
+        generator family of the random initial data (see
+        :func:`sqglab.fields.draw_field`) and the Gaussian envelope slope.
+    init_modes
+        explicit (j1, j2, amplitude, phase) modes used instead of a random
+        draw; indices are integers, amplitude and phase finite numbers.
+
+    ``output_every``, ``snapshot_every`` and ``seed`` take whole numbers: an
+    integral float becomes an int, a bool or a fraction is rejected.
     """
 
     alpha: float
@@ -118,16 +157,28 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not self.t_end >= self.dt:
             raise ValueError("t_end must be at least one step")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
         if self.eps0 is not None and not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
         if not 0 < self.cfl:
             raise ValueError("cfl must be positive")
         if self.init_norm is not None and self.init_norm_rel is not None:
             raise ValueError("set init_norm or init_norm_rel, not both")
+        for name, low in (("seed", 0), ("output_every", 1), ("snapshot_every", 0)):
+            setattr(self, name, _whole_number(name, getattr(self, name), low))
+        if self.init_kind not in field_gen._GENERATORS:
+            kinds = sorted(field_gen._GENERATORS)
+            raise ValueError(f"unknown init_kind {self.init_kind!r}; choose from {kinds}")
+        if self.init_modes is not None:
+            if not isinstance(self.init_modes, (list, tuple)):
+                raise ValueError(
+                    "init_modes must be a list of [j1, j2, amplitude, phase], "
+                    f"got {self.init_modes!r}"
+                )
+            self.init_modes = tuple(_mode(m) for m in self.init_modes)
+            target = self.init_norm if self.init_norm is not None else self.init_norm_rel
+            silent = all((j1, j2) == (0, 0) or amp == 0 for j1, j2, amp, _ in self.init_modes)
+            if silent and target:
+                raise ValueError("init_modes give the zero field, which has no nonzero norm")
         make_lattice(self.n, self.box_len)  # validates n / box_len
 
     def lattice(self):
@@ -246,22 +297,25 @@ class _Stepper:
                 self._factors[dt] = cached
         return cached
 
-    def tendency(self, coeffs):
-        """(-u.grad theta, max|u|) at the given state."""
+    def tendency(self, coeffs, umax=False):
+        """-u.grad theta at the given state; with ``umax`` also max|u| there."""
         if not self.nonlinear:
-            return None, 0.0
-        adv, umax = _advection_coeffs(self.lattice, coeffs, coeffs)
-        return np.negative(adv, out=adv), umax
+            return (None, 0.0) if umax else None
+        adv, (u1, u2) = _advection_coeffs(self.lattice, coeffs, coeffs)
+        np.negative(adv, out=adv)
+        if not umax:
+            return adv
+        return adv, math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
 
     def advance(self, coeffs, dt, k1=None):
         full, half = self.factors(dt)
         if not self.nonlinear:
             return full * coeffs
         if k1 is None:
-            k1, _ = self.tendency(coeffs)
-        k2, _ = self.tendency(half * (coeffs + (0.5 * dt) * k1))
-        k3, _ = self.tendency(half * coeffs + (0.5 * dt) * k2)
-        k4, _ = self.tendency(full * coeffs + dt * (half * k3))
+            k1 = self.tendency(coeffs)
+        k2 = self.tendency(half * (coeffs + (0.5 * dt) * k1))
+        k3 = self.tendency(half * coeffs + (0.5 * dt) * k2)
+        k4 = self.tendency(full * coeffs + dt * (half * k3))
         return full * coeffs + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
 
 
@@ -280,23 +334,6 @@ def step(theta, cfg):
     if not np.isfinite(out).all():
         raise BlowupError("non-finite coefficients after one step", None)
     return SpectralField(lat, _expand_half(out, lat.n))
-
-
-def _half_norm_weights(lat, alpha):
-    """Weights turning |c|^2 on the half spectrum into squared norms.
-
-    One (n, n//2 + 1) array per tracked norm: L2, Hdot^a, Hdot^(2-2a),
-    Hdot^(2-a), then Hdot^1 for the pairing's normalisation.  Each carries
-    the Parseval weight and the column weight of the half spectrum: 1 on the
-    self-paired columns 0 and n/2, 2 on the others, which stand for
-    themselves and their conjugate mirror.
-    """
-    m = lat.n // 2 + 1
-    column = np.full(m, 2.0)
-    column[0] = column[-1] = 1.0
-    scale = parseval_weight(lat) * column
-    orders = (0.0, alpha, 2.0 - 2.0 * alpha, 2.0 - alpha, 1.0)
-    return [scale * lat.symbol_power(2.0 * s)[:, :m] for s in orders]
 
 
 def simulate(theta0, cfg):
@@ -320,7 +357,10 @@ def simulate(theta0, cfg):
     theta = dealias(theta0) if cfg.nonlinear else theta0.copy()
     coeffs = theta.coeffs[:, : lat.n // 2 + 1].copy()
     stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
-    w_l2, w_ha, w_hc, w_hh, w_h1 = _half_norm_weights(lat, cfg.alpha)
+    # squared L2, Hdot^a, Hdot^(2-2a), Hdot^(2-a) norms, then Hdot^1 for the
+    # pairing's normalisation
+    orders = (0.0, cfg.alpha, 2.0 - 2.0 * cfg.alpha, 2.0 - cfg.alpha, 1.0)
+    w_l2, w_ha, w_hc, w_hh, w_h1 = (_half_weight(lat, s) for s in orders)
 
     times = []
     norm_rows = []
@@ -353,7 +393,7 @@ def simulate(theta0, cfg):
         if cancel is not None:
             # advection pairing normalized by ||theta||_{L2} ||theta||_{H1}^2;
             # zero to round-off when dealiasing is exact
-            next_k1 = stepper.tendency(coeffs_now)
+            next_k1 = stepper.tendency(coeffs_now, True)
             tend = next_k1[0]
             if tend is None or l2sq == 0.0:
                 cancel.append(0.0)
@@ -400,7 +440,7 @@ def simulate(theta0, cfg):
     horizon = cfg.t_end * (1.0 - 1e-12)
     while t < horizon:
         if next_k1 is None:
-            k1, umax = stepper.tendency(coeffs)
+            k1, umax = stepper.tendency(coeffs, True)
         else:
             (k1, umax), next_k1 = next_k1, None
         dt_now = min(cfg.dt, cfg.t_end - t)

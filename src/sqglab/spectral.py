@@ -10,12 +10,14 @@ Conventions (fixed for the whole package, see README):
 * mode (0, 0) is pinned to zero: all fields are mean-free, which keeps
   negative powers of |D| and negative-order norms well defined;
 * quadratic terms are computed on the ``rfft2`` half spectrum, shape
-  (n, n//2 + 1), by one kernel (:func:`_quadratic_coeffs`); every public
-  function takes and returns the full (n, n) layout.
+  (n, n//2 + 1), by one kernel (:func:`_quadratic_coeffs`), which also
+  takes stacks of half spectra; every public function takes and returns
+  the full (n, n) layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +41,39 @@ __all__ = [
 ]
 
 
-def _hermitian_part(coeffs):
-    """Project onto the conjugate-symmetric part, c(j) -> (c(j) + conj(c(-j)))/2."""
-    flipped = np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
-    return 0.5 * (coeffs + flipped)
+@functools.lru_cache(maxsize=8)
+def _mirror_indices(n):
+    """Flat gather indices between an n x n spectrum and its half spectrum.
+
+    ``fold[j]`` indexes the full spectrum at -j for each half-spectrum mode
+    j; ``expand`` indexes the buffer [half, conj(half)] (both raveled) so
+    that mode j of the full spectrum reads half[j] on columns 0 .. n/2 and
+    conj(half[-j]) on columns n/2+1 .. n-1.  The self-paired columns 0 and
+    n/2 read rows n/2+1 .. n-1 from the mirror as well.
+    """
+    m = n // 2 + 1
+    j1 = np.arange(n)[:, None]
+    j2 = np.arange(n)[None, :]
+    fold = (-j1 % n) * n + (-j2[:, :m] % n)
+    self_paired = (j2 == 0) | (j2 == m - 1)
+    direct = (j2 < m) & ~(self_paired & (j1 >= m))
+    mirrored = n * m + (-j1 % n) * m + (-j2 % n)
+    expand = np.where(direct, j1 * m + np.minimum(j2, m - 1), mirrored)
+    return fold, expand
+
+
+def _fold_half(coeffs):
+    """Conjugate-symmetric part of a full spectrum, on the rfft2 half spectrum.
+
+    Returns 0.5 * (c(j) + conj(c(-j))) on columns 0 .. n/2, shape
+    (n, n//2 + 1); :func:`_expand_half` of it is the projection of ``coeffs``
+    onto conjugate-symmetric spectra, bit for bit.
+    """
+    n = coeffs.shape[-1]
+    half = np.conj(coeffs.take(_mirror_indices(n)[0]))
+    half += coeffs[:, : n // 2 + 1]
+    half *= 0.5
+    return half
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +165,12 @@ class SpectralField:
     """One real scalar field stored as complex Fourier coefficients.
 
     The constructor pins mode (0, 0) to zero.  Conjugate symmetry is
-    established by :func:`forward_transform` and preserved by every operator
-    in this module (all multipliers are either real and even or imaginary
-    and odd with Nyquist rows zeroed).
+    established by :func:`forward_transform` and the field generators and
+    preserved by every operator in this module (all multipliers are either
+    real and even or imaginary and odd with Nyquist rows zeroed).  It is
+    assumed, not checked: every norm, scalar product and quadratic term
+    reads only columns 0 .. n/2 (the rfft2 half spectrum) and treats the
+    columns n/2+1 .. n-1 as their conjugate mirror.
     """
 
     lattice: FrequencyLattice
@@ -182,8 +216,8 @@ def forward_transform(samples, lattice):
         raise ValueError(
             f"sample shape {samples.shape} does not match lattice n={lattice.n}"
         )
-    coeffs = _hermitian_part(np.fft.fft2(samples))
-    return SpectralField(lattice, coeffs)
+    half = _fold_half(np.fft.fft2(samples))
+    return SpectralField(lattice, _expand_half(half, lattice.n))
 
 
 def inverse_transform(f):
@@ -305,14 +339,8 @@ def _expand_half(half, n):
     n/2+1 .. n-1 from rows n/2-1 .. 1 the same way, so the result is exactly
     conjugate-symmetric whenever its four self-paired modes are real.
     """
-    m = n // 2 + 1
-    mirror = np.conj(np.roll(half[::-1], 1, axis=0))  # row j1 -> -j1
-    full = np.empty((n, n), dtype=np.complex128)
-    full[:, :m] = half
-    full[:, m:] = mirror[:, m - 2 : 0 : -1]
-    full[m:, 0] = mirror[m:, 0]
-    full[m:, m - 1] = mirror[m:, m - 1]
-    return full
+    both = np.concatenate((half.ravel(), np.conj(half).ravel()))
+    return both.take(_mirror_indices(n)[1])
 
 
 def _half_multipliers(lat):
@@ -340,16 +368,22 @@ def _half_multipliers(lat):
 def _quadratic_coeffs(lat, left, right):
     """The one kernel for quadratic terms, on the rfft2 half spectrum.
 
-    ``left`` and ``right`` stack k half spectra each, shape (k, n, n//2 + 1).
-    Both go to physical space, sum_i left_i * right_i is formed pointwise,
-    transformed forward, masked with the 2/3 rule and mean-freed.  Returns
-    the half-spectrum result and the physical ``left`` factors.
+    ``left`` and ``right`` hold half spectra of shape (..., k, n, n//2 + 1)
+    whose leading axes broadcast against each other.  Each goes to physical
+    space once as given, so a factor shared by a batch is transformed once.
+    The two operands are not stacked into one transform: at n = 128 one
+    irfft2 over four slices is slower than two over two.  The sum
+    left_1 * right_1 + ... + left_k * right_k is formed pointwise in that
+    order, transformed forward, masked with the 2/3 rule and mean-freed.
+    Returns the (..., n, n//2 + 1) result and the physical ``left`` factors.
     """
     shape = (lat.n, lat.n)
     left_p = np.fft.irfft2(left, s=shape)
     right_p = np.fft.irfft2(right, s=shape)
-    prod = left_p[0] * right_p[0]
-    for a, b in zip(left_p[1:], right_p[1:]):
+    terms = zip(np.moveaxis(left_p, -3, 0), np.moveaxis(right_p, -3, 0))
+    a, b = next(terms)
+    prod = a * b
+    for a, b in terms:
         prod += a * b
     out = np.fft.rfft2(prod)
     out *= _half_multipliers(lat)[2]
@@ -357,8 +391,13 @@ def _quadratic_coeffs(lat, left, right):
 
 
 def _advection_coeffs(lat, w_half, theta_half):
-    """Advection kernel on half spectra; also returns max |u| for CFL bookkeeping."""
+    """Advection kernel u_w . grad(theta) on half spectra.
+
+    ``w_half`` and ``theta_half`` are (..., n, n//2 + 1) stacks that
+    broadcast against each other.  Returns the result and the physical
+    velocity of ``w``, shape (..., 2, n, n), from which callers that need
+    max |u| read it.
+    """
     velocity, grad, _ = _half_multipliers(lat)
-    out, (u1, u2) = _quadratic_coeffs(lat, velocity * w_half, grad * theta_half)
-    umax = math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
-    return out, umax
+    left = velocity * w_half[..., None, :, :]
+    return _quadratic_coeffs(lat, left, grad * theta_half[..., None, :, :])

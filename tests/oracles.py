@@ -239,3 +239,24 @@ def elementary_ensemble(count, seed, mag_range=(0.0, 10.0), sigma_range=(1.0, 2.
     good = ~zero
     max_ratio = float(np.max(lhs[good] / rhs[good])) if good.any() else 0.0
     return max_ratio, violations, degenerate
+
+
+def hermitian_projection(coeffs):
+    """0.5 * (c(j) + conj(c(-j))) by explicit index arithmetic on the full spectrum."""
+    n = coeffs.shape[0]
+    j1, j2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return 0.5 * (coeffs + np.conj(coeffs[(-j1) % n, (-j2) % n]))
+
+
+def shell_energy_from_coeffs(coeffs, n, box_len):
+    """Parseval-weighted |c|^2 summed per integer shell m = j1^2 + j2^2 >= 1.
+
+    Returns (shells, energy): the occupied shells in ascending order and the
+    energy of each, summed mode by mode over the full spectrum.
+    """
+    j1, j2 = integer_modes(n)
+    m = (j1**2 + j2**2).ravel()
+    mag2 = (np.abs(coeffs) ** 2).ravel()
+    shells = np.unique(m[m > 0])
+    energy = np.array([mag2[m == shell].sum() for shell in shells])
+    return shells, (box_len**2 / n**4) * energy

@@ -129,6 +129,48 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out), "--set", override]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            'init_kind="foo"',
+            "init_kind=3",
+            "seed=-1",
+            "seed=1.5",
+            "seed=true",
+            "init_modes=[[1,2]]",
+            "init_modes=[1,2]",
+            "init_modes=5",
+            'init_modes=[[1,2,"a",0]]',
+            "init_modes=[[1.5,2,1,0]]",
+            "init_modes=[]",
+            "output_every=1.5",
+            "output_every=true",
+            "snapshot_every=1.5",
+            "snapshot_every=true",
+        ],
+    )
+    def test_malformed_solver_value_exits_usage_without_artifacts(
+        self, tmp_path, capsys, override
+    ):
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out), "--set", override]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: invalid configuration" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["seed=3.0", "output_every=2.0", "snapshot_every=2.0"])
+    def test_integral_float_counts_run_as_their_integers(self, tmp_path, override):
+        key, value = override.split("=")
+        cfg = write_config(tmp_path / "run.json", snapshot_every=1)
+        as_float, as_int = tmp_path / "f", tmp_path / "i"
+        code = main(["simulate", str(cfg), "--out", str(as_float), "--set", override])
+        plain = f"{key}={int(float(value))}"
+        assert main(["simulate", str(cfg), "--out", str(as_int), "--set", plain]) == code
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        for name in ("series.csv", "snapshots.npz"):
+            assert (as_float / name).read_bytes() == (as_int / name).read_bytes()
+
     def test_manifest_reports_the_advection_pairing(self, tmp_path):
         from sqglab.cli import load_config
         from sqglab import initial_field, simulate
@@ -406,6 +448,19 @@ class TestSweepCommand:
     def test_unsupported_axis_rejected(self, tmp_path):
         path = self.make_spec(tmp_path, grid={"flux_capacitor": [1]})
         assert main(["sweep", str(path), "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"alpha": []}, {"alpha": 0.25}, {"seed": "123"}, {"n": {"a": 16}}, ["alpha"]],
+        ids=["empty-axis", "scalar-axis", "text-axis", "object-axis", "list-grid"],
+    )
+    def test_malformed_grid_exits_usage_before_any_row(self, tmp_path, capsys, grid):
+        path = self.make_spec(tmp_path, grid=grid)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "tolerances",

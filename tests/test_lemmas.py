@@ -16,6 +16,7 @@ from sqglab import (
     gaussian_random_field,
     make_lattice,
     multi_mode_field,
+    riesz_velocity,
     unit_mode,
 )
 import sqglab.lemmas
@@ -400,3 +401,102 @@ class TestSmallnessDefault:
         # the threshold is 0.25 / C_hat by construction
         value = default_smallness_threshold(0.3)
         assert 0.0 < value < 1e3
+
+
+def _public_loop(lemma_id, count, seed, lattice, params):
+    """A field-lemma ensemble one pair at a time through the public check_*.
+
+    Same draws in the same order as estimate_constant; the product laws pair
+    f with g and with the two components of riesz_velocity(f), the bilinear
+    shape pairs (omega, theta) and (theta, theta).  Returns (max_ratio,
+    violations, degenerate_samples).
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return gaussian_random_field(lattice, 4.0, rng)
+
+    ratios = []
+    for _ in range(count):
+        if "productlaw" in lemma_id:
+            f, g = draw(), draw()
+            for partner in (g, *riesz_velocity(f)):
+                two_term, product = check_product_law(f, partner, params["s1"], params["s2"])
+                ratios.append(product if lemma_id == "2.2-productlaw" else two_term)
+        elif lemma_id == "2.3-trilinear":
+            theta = draw()
+            for sigma in (1.0, 2.0 - 2.0 * params["alpha"]):
+                lhs, rhs = check_trilinear(theta, sigma, params["alpha"])
+                ratios.append(lhs / rhs if rhs else (0.0 if lhs == 0.0 else math.inf))
+        else:
+            omega, theta = draw(), draw()
+            for w in (omega, theta):
+                ratios.extend(check_bilinear(w, theta, params["alpha"]))
+    finite = [r for r in ratios if math.isfinite(r) and r != 0.0]
+    return (
+        max(finite, default=0.0),
+        sum(math.isinf(r) for r in ratios),
+        sum(r == 0.0 for r in ratios),
+    )
+
+
+class TestHalfSpectrumCores:
+    S1, S2 = 1.0 - 2.0 * ALPHA, ALPHA
+    PARAMS = {
+        "2.1-productlaw-two-term": {"s1": S1, "s2": S2},
+        "2.2-productlaw": {"s1": S1, "s2": S2},
+        "2.3-trilinear": {"alpha": ALPHA},
+        "2.4-bilinear": {"alpha": ALPHA},
+    }
+
+    def test_product_law_core_equals_the_public_check_per_partner(self, lat):
+        from sqglab.lemmas import _product_law_core
+
+        rng = np.random.default_rng(21)
+        f, g = gaussian_random_field(lat, 2.0, rng), gaussian_random_field(lat, 2.0, rng)
+        partners = (g, *riesz_velocity(f))
+        m = lat.n // 2 + 1
+        stack = np.stack([p.coeffs[:, :m] for p in partners])
+        got = _product_law_core(lat, f.coeffs[:, :m], stack, self.S1, self.S2)
+        assert got == [check_product_law(f, p, self.S1, self.S2) for p in partners]
+
+    def test_bilinear_core_equals_the_public_check_per_pair(self, lat):
+        from sqglab.lemmas import _bilinear_core
+
+        rng = np.random.default_rng(22)
+        omega, theta = gaussian_random_field(lat, 3.0, rng), gaussian_random_field(lat, 3.0, rng)
+        m = lat.n // 2 + 1
+        pair = np.stack([omega.coeffs[:, :m], theta.coeffs[:, :m]])
+        got = _bilinear_core(lat, pair, ALPHA)
+        assert got == [check_bilinear(omega, theta, ALPHA), check_bilinear(theta, theta, ALPHA)]
+        assert _bilinear_core(lat, pair, ALPHA, include_self=False) == got[:1]
+
+    @pytest.mark.parametrize("lemma_id", sorted(PARAMS))
+    def test_reports_equal_a_per_pair_loop_over_the_public_checks(self, lat, lemma_id):
+        params = self.PARAMS[lemma_id]
+        spec = EnsembleSpec(count=24, generator="gaussian", seed=9, lattice=lat)
+        report = estimate_constant(spec, lemma_id, params)
+        max_ratio, violations, degenerate = _public_loop(lemma_id, 24, 9, lat, params)
+        assert report.max_ratio == pytest.approx(max_ratio, rel=1e-12, abs=0.0)
+        assert (report.violations, report.degenerate_samples) == (violations, degenerate)
+
+    def test_product_law_pairs_each_f_with_g_and_its_riesz_velocity(self, lat, monkeypatch):
+        from sqglab.lemmas import _product_law_core
+
+        seen = []
+
+        def recorded(lattice, f, partners, s1, s2):
+            seen.append((f, partners))
+            return _product_law_core(lattice, f, partners, s1, s2)
+
+        monkeypatch.setattr(sqglab.lemmas, "_product_law_core", recorded)
+        spec = EnsembleSpec(count=10, generator="gaussian", seed=5, lattice=lat)
+        estimate_constant(spec, "2.1-productlaw-two-term", self.PARAMS["2.2-productlaw"])
+        rng = np.random.default_rng(5)
+        m = lat.n // 2 + 1
+        assert len(seen) == spec.count
+        for f_half, partners in seen:
+            f, g = gaussian_random_field(lat, 4.0, rng), gaussian_random_field(lat, 4.0, rng)
+            want = np.stack([h.coeffs[:, :m] for h in (g, *riesz_velocity(f))])
+            assert np.array_equal(f_half, f.coeffs[:, :m])
+            assert np.array_equal(partners, want)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sqglab import (
     default_delta_ladder,
     forward_transform,
@@ -244,3 +245,60 @@ class TestShellSpectrum:
             # high parts far below the total, where total - low would have
             # lost every digit
             assert tiny_tails > 0
+
+
+class TestHalfSpectrumPath:
+    """Every norm is read from columns 0 .. n/2; the oracles sum all n^2 modes."""
+
+    SIZES = (8, 12, 48, 64, 128)
+    ORDERS = (0.0, 0.25, 1.5, -0.75)
+
+    @staticmethod
+    def draws(lat, seed):
+        # unbanded, so the Nyquist row and column carry energy; the second
+        # field comes from physical samples through forward_transform
+        rng = np.random.default_rng(seed)
+        f = gaussian_random_field(lat, 1.5, rng, band_limit=False)
+        g = forward_transform(rng.standard_normal((lat.n, lat.n)), lat)
+        return f, g
+
+    @pytest.mark.parametrize("box_len", [TWO_PI, 3.7])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_norms_and_pairings_match_full_spectrum_sums(self, n, box_len):
+        lat = make_lattice(n, box_len)
+        f, g = self.draws(lat, n)
+        for s in self.ORDERS:
+            for h in (f, g):
+                want = oracles.hom_norm_from_coeffs(h.coeffs, n, box_len, s)
+                assert hom_norm(h, s) == pytest.approx(want, rel=1e-13, abs=0.0)
+            scale = hom_norm(f, s) * hom_norm(g, s)
+            want = oracles.pairing_from_coeffs(f.coeffs, g.coeffs, n, box_len, s, False)
+            assert abs(scalar_product(f, g, s) - want) <= 1e-13 * scale
+            if s > 0:
+                scale = inhom_norm(f, s) * inhom_norm(g, s)
+                want = oracles.pairing_from_coeffs(f.coeffs, g.coeffs, n, box_len, s, True)
+                got = scalar_product(f, g, s, homogeneous=False)
+                assert abs(got - want) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("box_len", [TWO_PI, 3.7])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_shell_spectrum_matches_per_mode_shell_sums(self, n, box_len):
+        lat = make_lattice(n, box_len)
+        f, _ = self.draws(lat, n + 1)
+        radii, energy = shell_spectrum(f)
+        shells, want = oracles.shell_energy_from_coeffs(f.coeffs, n, box_len)
+        np.testing.assert_allclose(radii, lat.kmin * np.sqrt(shells), rtol=1e-15)
+        np.testing.assert_allclose(energy, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_a_stacked_reduction_equals_the_per_field_ones_exactly(self, n):
+        from sqglab.norms import _half_pairings, _half_sq_norms
+
+        lat = make_lattice(n, 3.7)
+        fields = [self.draws(lat, seed)[k] for seed in range(3) for k in (0, 1)]
+        stack = np.stack([h.coeffs[:, : n // 2 + 1] for h in fields])
+        for s in self.ORDERS:
+            squares = _half_sq_norms(lat, stack, s)
+            assert [math.sqrt(v) for v in squares] == [hom_norm(h, s) for h in fields]
+            pairings = _half_pairings(lat, stack, stack[0], s).tolist()
+            assert pairings == [scalar_product(h, fields[0], s) for h in fields]

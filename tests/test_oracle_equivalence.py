@@ -139,3 +139,32 @@ class TestLemmaShapesAgainstOracle:
         den = oracles.hom_norm_from_coeffs(f.coeffs, n, TWO_PI, ALPHA) ** 2
         assert product == pytest.approx(lhs / den, rel=1e-10)
         assert two_term == pytest.approx(lhs / (2.0 * den), rel=1e-10)
+
+    def test_product_law_ratios_on_a_random_pair(self):
+        n = 16
+        lat, f, g = random_pair(n, 6)
+        s1, s2 = 1.0 - 2.0 * ALPHA, ALPHA
+        two_term, product = check_product_law(f, g, s1, s2)
+        lhs = oracles.hom_norm_from_coeffs(
+            oracles.product_coeffs(f.coeffs, g.coeffs, n), n, TWO_PI, s1 + s2 - 1.0
+        )
+        f1, f2, g1, g2 = (
+            oracles.hom_norm_from_coeffs(h.coeffs, n, TWO_PI, s)
+            for h, s in ((f, s1), (f, s2), (g, s1), (g, s2))
+        )
+        assert two_term == pytest.approx(lhs / (f1 * g2 + f2 * g1), rel=1e-10)
+        assert product == pytest.approx(lhs / (f1 * g2), rel=1e-10)
+
+    def test_bilinear_ratios_on_a_random_pair(self):
+        n = 16
+        lat, omega, theta = random_pair(n, 7)
+        s = 2.0 - 2.0 * ALPHA
+        first, second = check_bilinear(omega, theta, ALPHA)
+        term = oracles.advection_coeffs(omega.coeffs, theta.coeffs, n, TWO_PI)
+        lhs = abs(oracles.pairing_from_coeffs(term, theta.coeffs, n, TWO_PI, s, True))
+        w_high, w_crit, th_crit, th_high = (
+            oracles.hom_norm_from_coeffs(h.coeffs, n, TWO_PI, order)
+            for h, order in ((omega, 2.0 - ALPHA), (omega, s), (theta, s), (theta, 2.0 - ALPHA))
+        )
+        assert first == pytest.approx(lhs / (w_high * th_crit * th_high), rel=1e-10)
+        assert second == pytest.approx(lhs / (w_crit * th_high**2), rel=1e-10)

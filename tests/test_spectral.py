@@ -272,3 +272,58 @@ class TestProducts:
         b = unit_mode(make_lattice(32, TWO_PI), 1, 0)
         with pytest.raises(ValueError):
             multiply(a, b)
+
+
+class TestHalfSpectrumKernel:
+    @pytest.mark.parametrize("n", [8, 16, 48, 64, 128])
+    def test_fold_then_expand_is_the_hermitian_projection_bit_for_bit(self, n):
+        from oracles import hermitian_projection
+        from sqglab.spectral import _expand_half, _fold_half
+
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = _expand_half(_fold_half(c), n)
+        assert np.array_equal(got.view(np.uint64), hermitian_projection(c).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_batched_products_equal_per_pair_multiply(self, n):
+        from sqglab.spectral import _expand_half, _quadratic_coeffs
+
+        lat = make_lattice(n, TWO_PI)
+        m = n // 2 + 1
+        rng = np.random.default_rng(n)
+        f, *gs = (gaussian_random_field(lat, 2.0, rng) for _ in range(4))
+        stack = np.stack([g.coeffs[:, :m] for g in gs])
+        out, _ = _quadratic_coeffs(lat, f.coeffs[None, None, :, :m], stack[:, None])
+        assert out.shape == (3, n, m)
+        for got, g in zip(out, gs):
+            assert np.array_equal(_expand_half(got, n), multiply(f, g).coeffs)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_batched_advection_shares_the_gradient_and_equals_advect(self, n):
+        from sqglab import advect
+        from sqglab.spectral import _advection_coeffs, _expand_half
+
+        lat = make_lattice(n, TWO_PI)
+        m = n // 2 + 1
+        rng = np.random.default_rng(n + 1)
+        omega, theta = (gaussian_random_field(lat, 2.0, rng) for _ in range(2))
+        pair = np.stack([omega.coeffs[:, :m], theta.coeffs[:, :m]])
+        out, velocity = _advection_coeffs(lat, pair, theta.coeffs[:, :m])
+        assert out.shape == (2, n, m) and velocity.shape == (2, 2, n, n)
+        for got, w in zip(out, (omega, theta)):
+            assert np.array_equal(_expand_half(got, n), advect(w, theta).coeffs)
+
+    def test_advection_is_the_masked_transform_of_the_two_term_sum(self):
+        # the solver's tendency is rfft2(u1 * d1 theta + u2 * d2 theta), masked
+        from sqglab.spectral import _advection_coeffs, _half_multipliers
+
+        lat = make_lattice(32, TWO_PI)
+        theta = gaussian_random_field(lat, 2.0, np.random.default_rng(3)).coeffs[:, :17]
+        velocity, grad, mask = _half_multipliers(lat)
+        u = np.fft.irfft2(velocity * theta, s=(32, 32))
+        d = np.fft.irfft2(grad * theta, s=(32, 32))
+        want = np.fft.rfft2(u[0] * d[0] + u[1] * d[1]) * mask
+        got, velocity_p = _advection_coeffs(lat, theta, theta)
+        assert np.array_equal(got, want)
+        assert np.array_equal(velocity_p, u)
