@@ -144,6 +144,14 @@ def _config_dict(cfg):
     return d
 
 
+def _initial_field(cfg):
+    """theta0 of the configuration; one that cannot be built is a usage error."""
+    try:
+        return initial_field(cfg)
+    except ValueError as exc:
+        raise UsageError(f"invalid initial field: {exc}") from exc
+
+
 def _write_manifest(manifest, outdir):
     """Stamp the finish time, list the manifest among the outputs, write it."""
     path = os.path.join(outdir, "manifest.json")
@@ -166,10 +174,10 @@ def _write_run_outputs(outdir, record, manifest):
 
 def cmd_simulate(args):
     cfg, checks = load_config(args.config, args.set or ())
+    theta0 = _initial_field(cfg)
     outdir = args.out or "sqglab-run"
     os.makedirs(outdir, exist_ok=True)
     manifest = RunManifest(config=_config_dict(cfg), started=_now())
-    theta0 = initial_field(cfg)
 
     try:
         record = simulate(theta0, cfg)
@@ -272,10 +280,10 @@ def cmd_decay(args):
     if cfg.snapshot_every == 0:
         samples = max(2, int(round(cfg.t_end / cfg.dt)) // cfg.output_every)
         cfg = dataclasses.replace(cfg, snapshot_every=max(1, samples // 200))
+    theta0 = _initial_field(cfg)
     outdir = args.out or "sqglab-decay"
     os.makedirs(outdir, exist_ok=True)
     manifest = RunManifest(config=_config_dict(cfg), started=_now())
-    theta0 = initial_field(cfg)
 
     try:
         report = decay_experiment(

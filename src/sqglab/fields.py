@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .norms import _half_sq_norms, hom_norm, inhom_norm
-from .spectral import SpectralField, _expand_half, _fold_half
+from .norms import hom_norm, inhom_norm
+from .spectral import SpectralField
 
 __all__ = [
     "gaussian_random_field",
@@ -19,15 +17,10 @@ __all__ = [
 
 
 def _finalize(lattice, coeffs, normalize):
-    # project onto real fields through the half spectrum, which holds all
-    # of a real field's modes, and normalise there before expanding
-    half = _fold_half(coeffs)
-    half[0, 0] = 0.0
-    if normalize:
-        scale = math.sqrt(float(_half_sq_norms(lattice, half, 0.0)))
-        if scale > 0:
-            half *= 1.0 / scale
-    return SpectralField(lattice, _expand_half(half, lattice.n))
+    # the constructor projects the raw coefficients onto a real field
+    f = SpectralField(lattice, coeffs)
+    scale = hom_norm(f, 0.0) if normalize else 0.0
+    return f * (1.0 / scale) if scale > 0 else f
 
 
 def gaussian_random_field(lattice, slope, rng, band_limit=True, normalize=True):

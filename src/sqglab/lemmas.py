@@ -33,13 +33,7 @@ import numpy as np
 from .fields import draw_field, multi_mode_field
 # multiply and scalar_product are not called here any more; they stay bound
 # in this module because perfbench/spans.py wraps them
-from .norms import (  # noqa: F401
-    _half,
-    _half_pairings,
-    _half_sq_norms,
-    hom_norm,
-    scalar_product,
-)
+from .norms import _half_pairings, _half_sq_norms, hom_norm, scalar_product  # noqa: F401
 from .spectral import (  # noqa: F401
     _advection_coeffs,
     _half_multipliers,
@@ -201,7 +195,7 @@ def check_product_law(f, g, s1, s2):
     so negative orders are well defined.
     """
     f._check(g)
-    return _product_law_core(f.lattice, _half(f), _half(g)[None], s1, s2)[0]
+    return _product_law_core(f.lattice, f.half, g.half[None], s1, s2)[0]
 
 
 def check_trilinear(theta, sigma, alpha):
@@ -223,8 +217,8 @@ def check_trilinear(theta, sigma, alpha):
             raise ValueError(f"need sigma >= 1, got {s}")
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    lat, th = theta.lattice, _half(theta)
-    term = _half(advect(theta, theta))
+    lat, th = theta.lattice, theta.half
+    term = advect(theta, theta).half
     (crit,) = _norms(lat, th[None], 2.0 - 2.0 * alpha)
     pairs = [
         (
@@ -271,7 +265,7 @@ def check_bilinear(omega, theta, alpha):
     """
     if not omega.lattice.compatible(theta.lattice):
         raise ValueError("fields live on different lattices")
-    pair = np.stack((_half(omega), _half(theta)))
+    pair = np.stack((omega.half, theta.half))
     return _bilinear_core(omega.lattice, pair, alpha, include_self=False)[0]
 
 
@@ -423,7 +417,7 @@ def estimate_constant(spec, which, params=None):
         riesz_pairs = bool(params.get("riesz_pairs", True))
         for _ in range(spec.count):
             f, g = _draw(spec, rng), _draw(spec, rng)
-            f, partners = _half(f), _half(g)[None]
+            f, partners = f.half, g.half[None]
             if riesz_pairs:  # the Riesz velocity (u1, u2) of f
                 velocity = _half_multipliers(spec.lattice)[0]
                 partners = np.concatenate((partners, velocity * f))
@@ -446,7 +440,7 @@ def estimate_constant(spec, which, params=None):
         include_self = bool(params.get("include_self", True))
         for _ in range(spec.count):
             omega, theta = _draw(spec, rng), _draw(spec, rng)
-            pair = np.stack((_half(omega), _half(theta)))
+            pair = np.stack((omega.half, theta.half))
             for first, second in _bilinear_core(spec.lattice, pair, alpha, include_self):
                 if form in ("2.5", "both"):
                     tally.add(first)

@@ -9,12 +9,11 @@ Homogeneous norms weight each mode by |xi|^{2s} (zero mode excluded); the
 inhomogeneous norm of order s > 0 is the equivalent form
 sqrt(||f||_{L2}^2 + |||D|^s f||_{L2}^2).
 
-Every norm, pairing and shell sum is read from the rfft2 half spectrum,
-columns 0 .. n/2 of the coefficients, through one cached weight per order
-(:func:`_half_weight`): the columns n/2+1 .. n-1 are the conjugate mirror of
-columns n/2-1 .. 1 and count through a column weight of 2.  The fields must
-therefore be conjugate-symmetric, as every field the package builds is.
-Stacks of half spectra (k, n, n//2 + 1) reduce in one call, slice by slice.
+Every norm, pairing and shell sum is read from a field's rfft2 half spectrum
+``f.half`` through one cached weight per order (:func:`_half_weight`): the
+columns n/2+1 .. n-1 of the full spectrum are the conjugate mirror of
+columns n/2-1 .. 1 and count through a column weight of 2.  Stacks of half
+spectra (k, n, n//2 + 1) reduce in one call, slice by slice.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .spectral import _half_columns
 
 __all__ = [
     "parseval_weight",
@@ -49,10 +50,9 @@ def _half_weight(lattice, s, homogeneous=True):
     key = ("half-weight", float(s), homogeneous)
     cached = lattice._symbol_cache.get(key)
     if cached is None:
-        m = lattice.n // 2 + 1
-        column = np.full(m, 2.0)
+        symbol = _half_columns(lattice.symbol_power(2.0 * s))
+        column = np.full(symbol.shape[-1], 2.0)
         column[0] = column[-1] = 1.0
-        symbol = lattice.symbol_power(2.0 * s)[:, :m]
         if not homogeneous:
             symbol = 1.0 + symbol
             symbol[0, 0] = 0.0
@@ -73,16 +73,12 @@ def _half_pairings(lattice, a, b, s, homogeneous=True):
     return np.sum(_half_weight(lattice, s, homogeneous) * cross, axis=(-2, -1))
 
 
-def _half(f):
-    return f.coeffs[:, : f.lattice.n // 2 + 1]
-
-
 def hom_norm(f, s):
     """Homogeneous Sobolev norm |||D|^s f||_{L2}; s may be any finite real."""
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("norm order must be finite")
-    return math.sqrt(float(_half_sq_norms(f.lattice, _half(f), s)))
+    return math.sqrt(float(_half_sq_norms(f.lattice, f.half, s)))
 
 
 def _shells(lattice):
@@ -95,10 +91,9 @@ def _shells(lattice):
     """
     cached = lattice._symbol_cache.get("shells")
     if cached is None:
-        cols = lattice.n // 2 + 1
-        m = (lattice.modes1**2 + lattice.modes2**2)[:, :cols].ravel()
+        m = _half_columns(lattice.modes1**2 + lattice.modes2**2).ravel()
         _, first, index = np.unique(m, return_index=True, return_inverse=True)
-        cached = (index, lattice.kmag[:, :cols].ravel()[first[1:]])
+        cached = (index, _half_columns(lattice.kmag).ravel()[first[1:]])
         lattice._symbol_cache["shells"] = cached
     return cached
 
@@ -115,8 +110,7 @@ def shell_spectrum(f):
     is decided per shell, not per mode.
     """
     index, radii = _shells(f.lattice)
-    half = _half(f)
-    weighted = _half_weight(f.lattice, 0.0) * (half.real**2 + half.imag**2)
+    weighted = _half_weight(f.lattice, 0.0) * (f.half.real**2 + f.half.imag**2)
     return radii, np.bincount(index, weights=weighted.ravel())[1:]
 
 
@@ -139,7 +133,7 @@ def scalar_product(f, g, s=0.0, homogeneous=True):
     s = float(s)
     if not (homogeneous or s > 0):
         raise ValueError("inhomogeneous pairing requires s > 0")
-    return float(_half_pairings(f.lattice, _half(f), _half(g), s, homogeneous))
+    return float(_half_pairings(f.lattice, f.half, g.half, s, homogeneous))
 
 
 def interpolation_gap(theta, alpha):

@@ -25,7 +25,8 @@ from .norms import _half_weight, inhom_norm
 from .spectral import (
     SpectralField,
     _advection_coeffs,
-    _expand_half,
+    _from_half,
+    _half_columns,
     dealias,
     make_lattice,
 )
@@ -49,6 +50,11 @@ __all__ = [
 ]
 
 SERIES_COLUMNS = ("t", "L2", "Ha", "H2m2a_hom", "H2m2a", "H2ma", "D_L2", "D_H")
+
+# Largest step count ceil(t_end / dt) a configuration may request: 2500 times
+# the 4000 steps of the acceptance run.  A dt such as 1e-300 is finite and
+# positive but asks for a run that would never finish.
+MAX_STEPS = 10**7
 
 
 class BlowupError(RuntimeError):
@@ -122,8 +128,12 @@ class SolverConfig:
         explicit (j1, j2, amplitude, phase) modes used instead of a random
         draw; indices are integers, amplitude and phase finite numbers.
 
-    ``output_every``, ``snapshot_every`` and ``seed`` take whole numbers: an
-    integral float becomes an int, a bool or a fraction is rejected.
+    ``n``, ``output_every``, ``snapshot_every`` and ``seed`` take whole
+    numbers: an integral float becomes an int, a bool or a fraction is
+    rejected.  ``auto_dt``, ``nonlinear`` and ``track_cancellation`` take
+    only ``True`` or ``False``.  At most :data:`MAX_STEPS` steps may be
+    requested, and ``n`` is capped by the lattice
+    (:data:`sqglab.spectral.MAX_LATTICE_N`).
     """
 
     alpha: float
@@ -157,14 +167,21 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not self.t_end >= self.dt:
             raise ValueError("t_end must be at least one step")
+        if self.t_end / self.dt > MAX_STEPS:  # same as ceil(t_end / dt) > MAX_STEPS
+            raise ValueError(
+                f"t_end / dt asks for more than {MAX_STEPS} steps, got {self.t_end / self.dt:g}"
+            )
         if self.eps0 is not None and not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
         if not 0 < self.cfl:
             raise ValueError("cfl must be positive")
         if self.init_norm is not None and self.init_norm_rel is not None:
             raise ValueError("set init_norm or init_norm_rel, not both")
-        for name, low in (("seed", 0), ("output_every", 1), ("snapshot_every", 0)):
+        for name, low in (("n", 8), ("seed", 0), ("output_every", 1), ("snapshot_every", 0)):
             setattr(self, name, _whole_number(name, getattr(self, name), low))
+        for name in ("auto_dt", "nonlinear", "track_cancellation"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.init_kind not in field_gen._GENERATORS:
             kinds = sorted(field_gen._GENERATORS)
             raise ValueError(f"unknown init_kind {self.init_kind!r}; choose from {kinds}")
@@ -284,9 +301,7 @@ class _Stepper:
         self.lattice = lattice
         self.nonlinear = nonlinear
         self.dt = dt
-        self.symbol = np.ascontiguousarray(
-            lattice.symbol_power(2.0 * alpha)[:, : lattice.n // 2 + 1]
-        )
+        self.symbol = np.ascontiguousarray(_half_columns(lattice.symbol_power(2.0 * alpha)))
         self._factors = {}
 
     def factors(self, dt):
@@ -328,12 +343,11 @@ def nonlinear_term(theta):
 
 def step(theta, cfg):
     """Advance one step of cfg.dt (caller guarantees the CFL precondition)."""
-    lat = theta.lattice
-    stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
-    out = stepper.advance(theta.coeffs[:, : lat.n // 2 + 1], cfg.dt)
+    stepper = _Stepper(theta.lattice, cfg.alpha, cfg.nonlinear, cfg.dt)
+    out = stepper.advance(theta.half, cfg.dt)
     if not np.isfinite(out).all():
         raise BlowupError("non-finite coefficients after one step", None)
-    return SpectralField(lat, _expand_half(out, lat.n))
+    return _from_half(theta.lattice, out)
 
 
 def simulate(theta0, cfg):
@@ -345,8 +359,8 @@ def simulate(theta0, cfg):
     stop being finite or the critical norm exceeds ``blowup_factor`` times
     its initial value.
 
-    The state advances on the rfft2 half spectrum; snapshots and the final
-    field are expanded to the full (n, n) layout.  With
+    The state advances on the rfft2 half spectrum, which is also what the
+    snapshots and the final field store.  With
     ``track_cancellation`` the tendency evaluated for the pairing at a
     sample is reused as the first RK4 stage of the next step.
     """
@@ -355,7 +369,7 @@ def simulate(theta0, cfg):
         raise ValueError("initial field lattice does not match the configuration")
 
     theta = dealias(theta0) if cfg.nonlinear else theta0.copy()
-    coeffs = theta.coeffs[:, : lat.n // 2 + 1].copy()
+    coeffs = theta.half  # never written in place; each step makes a new array
     stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
     # squared L2, Hdot^a, Hdot^(2-2a), Hdot^(2-a) norms, then Hdot^1 for the
     # pairing's normalisation
@@ -404,7 +418,7 @@ def simulate(theta0, cfg):
                 cancel.append(pairing / (math.sqrt(l2sq) * h1sq))
         if cfg.snapshot_every and sample_index % cfg.snapshot_every == 0:
             snapshot_times.append(t_now)
-            snapshots.append(SpectralField(lat, _expand_half(coeffs_now, lat.n)))
+            snapshots.append(_from_half(lat, coeffs_now))
         sample_index += 1
         return math.sqrt(l2sq + hcsq)
 
@@ -429,7 +443,7 @@ def simulate(theta0, cfg):
             snapshot_times=snapshot_times,
             snapshots=snapshots,
             initial=theta.copy(),
-            final=SpectralField(lat, _expand_half(coeffs, lat.n)),
+            final=_from_half(lat, coeffs),
             cancellation=None if cancel is None else np.asarray(cancel),
             aborted=aborted,
             abort_reason=reason,
@@ -471,7 +485,7 @@ def simulate(theta0, cfg):
 
     if cfg.snapshot_every and snapshot_times and snapshot_times[-1] < times[-1]:
         snapshot_times.append(times[-1])
-        snapshots.append(SpectralField(lat, _expand_half(coeffs, lat.n)))
+        snapshots.append(_from_half(lat, coeffs))
     return build_record()
 
 

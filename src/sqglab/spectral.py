@@ -9,10 +9,10 @@ Conventions (fixed for the whole package, see README):
 * the wavenumber of mode (j1, j2) is ``(2*pi/box_len) * (j1, j2)``;
 * mode (0, 0) is pinned to zero: all fields are mean-free, which keeps
   negative powers of |D| and negative-order norms well defined;
-* quadratic terms are computed on the ``rfft2`` half spectrum, shape
-  (n, n//2 + 1), by one kernel (:func:`_quadratic_coeffs`), which also
-  takes stacks of half spectra; every public function takes and returns
-  the full (n, n) layout.
+* a field is real, so the ``rfft2`` half spectrum, shape (n, n//2 + 1),
+  holds all its modes: a :class:`SpectralField` stores that half, every
+  operator acts on it, and quadratic terms come from one kernel
+  (:func:`_quadratic_coeffs`); the full (n, n) layout is built where read.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+# Largest lattice size accepted.  The lattice alone holds about ten n x n
+# arrays (1.3 GB at n = 4096) and a field's half spectrum 8 n^2 bytes, so a
+# larger n cannot run in the memory of an ordinary machine; the check runs
+# before anything is allocated.
+MAX_LATTICE_N = 4096
+
+
 @functools.lru_cache(maxsize=8)
 def _mirror_indices(n):
     """Flat gather indices between an n x n spectrum and its half spectrum.
@@ -60,6 +67,11 @@ def _mirror_indices(n):
     mirrored = n * m + (-j1 % n) * m + (-j2 % n)
     expand = np.where(direct, j1 * m + np.minimum(j2, m - 1), mirrored)
     return fold, expand
+
+
+def _half_columns(a):
+    """Columns 0 .. n/2 of an (..., n, n) lattice array: its rfft2 half spectrum."""
+    return a[..., : a.shape[-1] // 2 + 1]
 
 
 def _fold_half(coeffs):
@@ -107,6 +119,8 @@ class FrequencyLattice:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 8:
             raise ValueError(f"lattice size must be even and >= 8, got {self.n}")
+        if self.n > MAX_LATTICE_N:
+            raise ValueError(f"lattice size must be <= {MAX_LATTICE_N}, got {self.n}")
         if not (self.box_len > 0 and math.isfinite(self.box_len)):
             raise ValueError(f"box_len must be positive and finite, got {self.box_len}")
         j = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
@@ -156,54 +170,78 @@ class FrequencyLattice:
 
 
 def make_lattice(n, box_len):
-    """Build a FrequencyLattice; n must be even and >= 8, box_len > 0."""
+    """Build a FrequencyLattice; n even, 8 <= n <= MAX_LATTICE_N, box_len > 0."""
     return FrequencyLattice(int(n), float(box_len))
 
 
-@dataclass
 class SpectralField:
-    """One real scalar field stored as complex Fourier coefficients.
+    """One real scalar field, stored as its rfft2 half spectrum ``half``.
 
-    The constructor pins mode (0, 0) to zero.  Conjugate symmetry is
-    established by :func:`forward_transform` and the field generators and
-    preserved by every operator in this module (all multipliers are either
-    real and even or imaginary and odd with Nyquist rows zeroed).  It is
-    assumed, not checked: every norm, scalar product and quadratic term
-    reads only columns 0 .. n/2 (the rfft2 half spectrum) and treats the
-    columns n/2+1 .. n-1 as their conjugate mirror.
+    ``half`` has shape (n, n//2 + 1), mode (0, 0) pinned to zero and exactly
+    conjugate-symmetric self-paired columns 0 and n/2.  The constructor takes
+    full (n, n) coefficients and keeps the half of their conjugate-symmetric
+    part, so arbitrary input is projected onto a real field.  ``coeffs``, the
+    full (n, n) array, is built from ``half`` by conjugate symmetry on first
+    read and then kept, with ``half`` a view of its columns 0 .. n/2, so a
+    write into it is seen by every later read.
     """
 
-    lattice: FrequencyLattice
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.lattice.n, self.lattice.n):
+    def __init__(self, lattice, coeffs):
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != (lattice.n, lattice.n):
             raise ValueError(
-                f"coefficient shape {coeffs.shape} does not match lattice n={self.lattice.n}"
+                f"coefficient shape {coeffs.shape} does not match lattice n={lattice.n}"
             )
-        coeffs[0, 0] = 0.0
-        self.coeffs = coeffs
+        self._store(lattice, _fold_half(coeffs))
+
+    def _store(self, lattice, half):
+        # take rows n/2+1 .. n-1 of the self-paired columns 0 and n/2 (the
+        # column step n/2 picks just those) from the conjugates of rows
+        # n/2-1 .. 1, as _expand_half reads them
+        m = lattice.n // 2 + 1
+        half[m:, :: m - 1] = np.conj(half[m - 2 : 0 : -1, :: m - 1])
+        half[0, 0] = 0.0
+        self.lattice, self.half, self._full = lattice, half, None
+
+    @property
+    def coeffs(self):
+        """The full (n, n) coefficients, built from ``half`` on first read."""
+        if self._full is None:
+            self._full = _expand_half(self.half, self.lattice.n)
+            self.half = _half_columns(self._full)
+        return self._full
 
     def copy(self):
-        return SpectralField(self.lattice, self.coeffs.copy())
+        return _from_half(self.lattice, self.half)
 
     def __add__(self, other):
         self._check(other)
-        return SpectralField(self.lattice, self.coeffs + other.coeffs)
+        return _from_half(self.lattice, self.half + other.half)
 
     def __sub__(self, other):
         self._check(other)
-        return SpectralField(self.lattice, self.coeffs - other.coeffs)
+        return _from_half(self.lattice, self.half - other.half)
 
     def __mul__(self, scalar):
-        return SpectralField(self.lattice, self.coeffs * float(scalar))
+        return _from_half(self.lattice, self.half * float(scalar))
 
     __rmul__ = __mul__
 
     def _check(self, other):
         if not self.lattice.compatible(other.lattice):
             raise ValueError("fields live on different lattices")
+
+
+def _from_half(lattice, half):
+    """Field holding a copy of the half spectrum ``half``, which is not modified.
+
+    rfft2 output is conjugate-symmetric on the self-paired columns only to
+    round-off; the copy is completed there, so the field equals
+    ``_expand_half(half, n)`` bit for bit.
+    """
+    f = object.__new__(SpectralField)
+    f._store(lattice, np.array(half, dtype=np.complex128))
+    return f
 
 
 def forward_transform(samples, lattice):
@@ -216,8 +254,7 @@ def forward_transform(samples, lattice):
         raise ValueError(
             f"sample shape {samples.shape} does not match lattice n={lattice.n}"
         )
-    half = _fold_half(np.fft.fft2(samples))
-    return SpectralField(lattice, _expand_half(half, lattice.n))
+    return SpectralField(lattice, np.fft.fft2(samples))
 
 
 def inverse_transform(f):
@@ -227,7 +264,8 @@ def inverse_transform(f):
 
 def fractional_power(f, s):
     """Apply |D|^s, the multiplier |xi|^s; mode (0,0) maps to 0 for every s."""
-    return SpectralField(f.lattice, f.lattice.symbol_power(s) * f.coeffs)
+    symbol = _half_columns(f.lattice.symbol_power(s))
+    return _from_half(f.lattice, symbol * f.half)
 
 
 def _zero_nyquist(coeffs, n):
@@ -248,40 +286,35 @@ def riesz_velocity(theta):
     from the Nyquist rows (those are zeroed so the velocity stays real).
     Returns the pair (u1, u2).
     """
-    lat = theta.lattice
-    inv = lat.symbol_power(-1.0)
-    u1 = _zero_nyquist(-1j * lat.ky * inv * theta.coeffs, lat.n)
-    u2 = _zero_nyquist(1j * lat.kx * inv * theta.coeffs, lat.n)
-    return SpectralField(lat, u1), SpectralField(lat, u2)
+    u1, u2 = _half_multipliers(theta.lattice)[0] * theta.half
+    return _from_half(theta.lattice, u1), _from_half(theta.lattice, u2)
 
 
 def gradient(f):
     """Spectral gradient (d1 f, d2 f) with Nyquist rows zeroed."""
-    lat = f.lattice
-    gx = _zero_nyquist(1j * lat.kx * f.coeffs, lat.n)
-    gy = _zero_nyquist(1j * lat.ky * f.coeffs, lat.n)
-    return SpectralField(lat, gx), SpectralField(lat, gy)
+    gx, gy = _half_multipliers(f.lattice)[1] * f.half
+    return _from_half(f.lattice, gx), _from_half(f.lattice, gy)
 
 
 def low_pass(theta, delta):
     """Keep modes with |xi| < delta, zero the rest."""
     if not delta > 0:
         raise ValueError("cutoff must be positive")
-    keep = theta.lattice.kmag < delta
-    return SpectralField(theta.lattice, np.where(keep, theta.coeffs, 0.0))
+    keep = _half_columns(theta.lattice.kmag) < delta
+    return _from_half(theta.lattice, np.where(keep, theta.half, 0.0))
 
 
 def high_pass(theta, delta):
     """Keep modes with |xi| >= delta; low_pass + high_pass restores theta exactly."""
     if not delta > 0:
         raise ValueError("cutoff must be positive")
-    keep = theta.lattice.kmag >= delta
-    return SpectralField(theta.lattice, np.where(keep, theta.coeffs, 0.0))
+    keep = _half_columns(theta.lattice.kmag) >= delta
+    return _from_half(theta.lattice, np.where(keep, theta.half, 0.0))
 
 
 def dealias(f):
     """Apply the 2/3-rule mask."""
-    return SpectralField(f.lattice, f.coeffs * f.lattice.dealias_mask)
+    return _from_half(f.lattice, f.half * _half_columns(f.lattice.dealias_mask))
 
 
 def rescale_field(theta, lam, alpha):
@@ -300,7 +333,7 @@ def rescale_field(theta, lam, alpha):
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
     target = make_lattice(theta.lattice.n, theta.lattice.box_len / lam_int)
-    return SpectralField(target, float(lam_int) ** (2.0 * alpha - 1.0) * theta.coeffs)
+    return _from_half(target, float(lam_int) ** (2.0 * alpha - 1.0) * theta.half)
 
 
 def multiply(f, g):
@@ -311,10 +344,8 @@ def multiply(f, g):
     quadratic term in the package.
     """
     f._check(g)
-    lat = f.lattice
-    m = lat.n // 2 + 1
-    out, _ = _quadratic_coeffs(lat, f.coeffs[None, :, :m], g.coeffs[None, :, :m])
-    return SpectralField(lat, _expand_half(out, lat.n))
+    out, _ = _quadratic_coeffs(f.lattice, f.half[None], g.half[None])
+    return _from_half(f.lattice, out)
 
 
 def advect(w, theta):
@@ -325,10 +356,8 @@ def advect(w, theta):
     rule and mean-freed.  Since div(u_w) = 0 this equals div(theta * u_w).
     """
     w._check(theta)
-    lat = w.lattice
-    m = lat.n // 2 + 1
-    coeffs, _ = _advection_coeffs(lat, w.coeffs[:, :m], theta.coeffs[:, :m])
-    return SpectralField(lat, _expand_half(coeffs, lat.n))
+    out, _ = _advection_coeffs(w.lattice, w.half, theta.half)
+    return _from_half(w.lattice, out)
 
 
 def _expand_half(half, n):
@@ -353,12 +382,11 @@ def _half_multipliers(lat):
     """
     cached = lat._symbol_cache.get("half-multipliers")
     if cached is None:
-        m = lat.n // 2 + 1
-        inv = lat.symbol_power(-1.0)[:, :m]
-        kx, ky = lat.kx[:, :m], lat.ky[:, :m]
+        inv = _half_columns(lat.symbol_power(-1.0))
+        kx, ky = _half_columns(lat.kx), _half_columns(lat.ky)
         velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), lat.n)
         grad = _zero_nyquist(np.stack([1j * kx, 1j * ky]), lat.n)
-        mask = lat.dealias_mask[:, :m].copy()
+        mask = _half_columns(lat.dealias_mask).copy()
         mask[0, 0] = False
         cached = (velocity, grad, mask)
         lat._symbol_cache["half-multipliers"] = cached

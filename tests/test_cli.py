@@ -147,6 +147,10 @@ class TestSimulateCommand:
             "output_every=true",
             "snapshot_every=1.5",
             "snapshot_every=true",
+            'nonlinear="false"',
+            'auto_dt="no"',
+            'track_cancellation="yes"',
+            "n=16.5",
         ],
     )
     def test_malformed_solver_value_exits_usage_without_artifacts(
@@ -170,6 +174,40 @@ class TestSimulateCommand:
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
         for name in ("series.csv", "snapshots.npz"):
             assert (as_float / name).read_bytes() == (as_int / name).read_bytes()
+
+    def test_integral_float_n_runs_as_its_integer_and_is_recorded_as_one(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", snapshot_every=2)
+        as_float, as_int = tmp_path / "f", tmp_path / "i"
+        assert main(["simulate", str(cfg), "--out", str(as_float), "--set", "n=16.0"]) == EXIT_OK
+        assert main(["simulate", str(cfg), "--out", str(as_int), "--set", "n=16"]) == EXIT_OK
+        for name in ("series.csv", "snapshots.npz"):
+            assert (as_float / name).read_bytes() == (as_int / name).read_bytes()
+        recorded = json.loads((as_float / "manifest.json").read_text())["config"]["n"]
+        assert recorded == 16 and type(recorded) is int
+
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    def test_modes_that_cancel_to_zero_exit_usage_without_a_directory(
+        self, tmp_path, capsys, command
+    ):
+        cfg = write_config(
+            tmp_path / "run.json", init_modes=[[1, 0, 1, 0], [1, 0, -1, 0]], snapshot_every=1
+        )
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "zero field" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["dt=1e-300", "t_end=1e300", "n=1000000000"])
+    def test_preflight_caps_exit_usage_without_artifacts(self, tmp_path, capsys, override):
+        # each value is rejected while the configuration is read, before any
+        # array is allocated or step taken
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out), "--set", override]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: invalid configuration" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_manifest_reports_the_advection_pairing(self, tmp_path):
         from sqglab.cli import load_config
@@ -262,6 +300,14 @@ class TestVerifyCommand:
         out = tmp_path / "reports"
         args = ["verify", "2.3-trilinear", "--samples", "20", "--n", "16", "--out", str(out)]
         assert main(args + bad) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_lattice_size_preflight_exits_usage(self, tmp_path, capsys):
+        # rejected by the lattice before any array is allocated
+        out = tmp_path / "reports"
+        args = ["verify", "2.3-trilinear", "--samples", "20", "--n", "1000000000"]
+        assert main(args + ["--out", str(out)]) == EXIT_USAGE
+        assert "--n: lattice size must be <= 4096" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -438,6 +484,14 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert "ok" in lines[1] and "error" in lines[2]
+
+    def test_modes_that_cancel_to_zero_are_a_row_error(self, tmp_path):
+        base = dict(BASE_CONFIG, init_modes=[[1, 0, 1, 0], [1, 0, -1, 0]])
+        path = self.make_spec(tmp_path, base=base, grid={"alpha": [0.25]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        assert row[header.index("status")].startswith("error: cannot scale the zero field")
 
     def test_job_bound_enforced(self, tmp_path):
         path = self.make_spec(

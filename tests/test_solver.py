@@ -70,6 +70,43 @@ class TestSolverConfig:
         assert cfg.resolved_eps0() == cfg.resolved_eps0()
         assert cfg.resolved_eps0() > 0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"nonlinear": "false"},
+            {"auto_dt": "no"},
+            {"track_cancellation": "yes"},
+            {"track_cancellation": 1},
+            {"nonlinear": None},
+            {"n": 16.5},
+            {"n": "16"},
+            {"n": True},
+        ],
+        ids=repr,
+    )
+    def test_flags_take_bools_and_n_takes_whole_numbers(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            small_config(**bad)
+
+    def test_integral_float_n_becomes_an_int(self):
+        cfg = small_config(n=32.0)
+        assert cfg.n == 32 and type(cfg.n) is int
+
+    def test_step_count_preflight(self):
+        # rejected in __post_init__, before any field is built or step taken
+        with pytest.raises(ValueError, match="steps"):
+            small_config(dt=1e-300)
+        with pytest.raises(ValueError, match="steps"):
+            small_config(t_end=1e300, dt=1.0)
+        from sqglab.solver import MAX_STEPS
+
+        assert small_config(t_end=MAX_STEPS * 1e-6, dt=1e-6).dt == 1e-6
+
+    def test_lattice_size_preflight(self):
+        # rejected by the lattice before any array is allocated
+        with pytest.raises(ValueError, match="lattice size"):
+            small_config(n=10**9)
+
 
 class TestNonlinearTerm:
     def test_zero_field(self):
@@ -249,6 +286,27 @@ class TestHalfSpectrumKernelPath:
         final = simulate(theta, cfg).final
         scale = np.abs(final.coeffs).max()
         assert np.abs(one.coeffs - final.coeffs).max() <= 1e-15 * scale
+
+    def test_running_state_stays_raw_between_steps(self):
+        # the stored fields are completed copies; the state the solver steps
+        # keeps the rfft2 round-off on its self-paired columns
+        from sqglab.solver import _Stepper
+
+        cfg = small_config(dt=0.0625, t_end=0.25, init_norm=1.0, snapshot_every=1)
+        lat = cfg.lattice()
+        theta = dealias(initial_field(cfg))
+        record = simulate(theta, cfg)
+        assert list(record.times) == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+        stepper = _Stepper(lat, cfg.alpha, True, cfg.dt)
+        state = theta.half.copy()
+        for snap in record.snapshots[1:]:
+            state = stepper.advance(state, cfg.dt, stepper.tendency(state))
+            want = state.copy()
+            want[17:, [0, 16]] = np.conj(want[15:0:-1, [0, 16]])
+            assert snap.half.tobytes() == want.tobytes()
+        assert record.final.half.tobytes() == want.tobytes()
+        # the completion is not a no-op here, so a completed state would differ
+        assert not np.array_equal(state, want)
 
     def test_snapshots_are_conjugate_symmetric_and_masked(self):
         cfg = small_config(t_end=0.3, init_norm=5.0, snapshot_every=3)

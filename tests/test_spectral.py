@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,195 @@ class TestHalfSpectrumKernel:
         got, velocity_p = _advection_coeffs(lat, theta, theta)
         assert np.array_equal(got, want)
         assert np.array_equal(velocity_p, u)
+
+
+def _producers(n):
+    """(name, field) for every producer of fields, on an n x n lattice."""
+    from sqglab import (
+        SolverConfig,
+        advect,
+        dyadic_bumps_field,
+        gradient,
+        initial_field,
+        multi_mode_field,
+        random_multi_mode,
+        simulate,
+        step,
+    )
+
+    lat = make_lattice(n, TWO_PI)
+    rng = np.random.default_rng(n)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = gaussian_random_field(lat, 2.0, rng)
+    g = dyadic_bumps_field(lat, rng)
+    cfg = SolverConfig(
+        alpha=0.25, n=n, dt=0.01, t_end=0.03, seed=n, init_norm=1.0, eps0=1.0,
+        snapshot_every=1,
+    )
+    record = simulate(initial_field(cfg), cfg)
+    produced = {
+        "constructor": SpectralField(lat, raw),
+        "forward_transform": forward_transform(rng.standard_normal((n, n)), lat),
+        "gaussian_random_field": f,
+        "multi_mode_field": multi_mode_field(lat, [(1, 2, 1.0, 0.5), (-3, 1, 0.5, 2.0)]),
+        "random_multi_mode": random_multi_mode(lat, rng),
+        "dyadic_bumps_field": g,
+        "add": f + g,
+        "sub": f - g,
+        "mul": f * 0.3,
+        "rmul": 0.3 * f,
+        "copy": f.copy(),
+        "fractional_power": fractional_power(f, 0.75),
+        "riesz_velocity_1": riesz_velocity(f)[0],
+        "riesz_velocity_2": riesz_velocity(f)[1],
+        "gradient_1": gradient(f)[0],
+        "gradient_2": gradient(f)[1],
+        "low_pass": low_pass(f, 3.0),
+        "high_pass": high_pass(f, 3.0),
+        "dealias": dealias(SpectralField(lat, raw)),
+        "rescale_field": rescale_field(f, 2, 0.25),
+        "multiply": multiply(f, g),
+        "advect": advect(f, g),
+        "step": step(f, cfg),
+        "simulate_final": record.final,
+    }
+    for i, snap in enumerate(record.snapshots):
+        produced[f"simulate_snapshot_{i}"] = snap
+    return sorted(produced.items())
+
+
+class TestHalfSpectrumStorage:
+    @pytest.mark.parametrize("n", [8, 16, 48])
+    def test_every_producer_stores_the_half_and_expands_it_on_read(self, n):
+        from sqglab.spectral import _expand_half
+
+        m = n // 2 + 1
+        for name, f in _producers(n):
+            half = f.half.copy()
+            assert half.shape == (n, m), name
+            assert half[0, 0] == 0.0, name
+            # until its full array is read, a field holds only the half spectrum
+            arrays = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+            assert sum(a.nbytes for a in arrays) == half.nbytes, name
+            full = f.coeffs
+            assert full.shape == (n, n), name
+            assert full.tobytes() == _expand_half(half, n).tobytes(), name
+            assert full[:, :m].tobytes() == half.tobytes(), name
+            assert np.ascontiguousarray(f.half).tobytes() == half.tobytes(), name
+            assert f.coeffs is full, name
+
+    def test_full_array_is_conjugate_symmetric_for_every_producer(self):
+        for name, f in _producers(16):
+            c = f.coeffs
+            mirror = np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1)))
+            assert np.array_equal(c, mirror), name
+
+    def test_a_write_into_coeffs_is_seen_by_later_reads_and_by_half(self):
+        lat = make_lattice(16, TWO_PI)
+        f = gaussian_random_field(lat, 2.0, np.random.default_rng(1))
+        f.coeffs[8, 1] = 1.0  # a mode outside the 2/3 mask
+        assert f.coeffs[8, 1] == 1.0
+        assert f.half[8, 1] == 1.0
+        assert hom_norm(f, 0.0) > hom_norm(dealias(f), 0.0)
+
+    def test_constructor_projects_onto_conjugate_symmetric_spectra(self):
+        from oracles import hermitian_projection
+
+        lat = make_lattice(16, TWO_PI)
+        rng = np.random.default_rng(2)
+        raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        want = hermitian_projection(raw)
+        want[0, 0] = 0.0
+        assert SpectralField(lat, raw).coeffs.tobytes() == want.tobytes()
+
+    def test_symmetric_input_keeps_its_half_bit_for_bit(self):
+        lat = make_lattice(32, TWO_PI)
+        f = gaussian_random_field(lat, 2.0, np.random.default_rng(4))
+        g = SpectralField(lat, f.coeffs)
+        assert g.half.tobytes() == f.half.tobytes()
+        assert np.ascontiguousarray(f.half).tobytes() == f.coeffs[:, :17].tobytes()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_field_from_rfft2_output_leaves_the_callers_array_untouched(self, n):
+        from sqglab.spectral import _expand_half, _from_half
+
+        lat = make_lattice(n, TWO_PI)
+        raw = np.fft.rfft2(np.random.default_rng(n).standard_normal((n, n)))
+        before = raw.copy()
+        f = _from_half(lat, raw)
+        assert raw.tobytes() == before.tobytes()
+        assert f.half is not raw
+        # rfft2 output is conjugate-symmetric on columns 0 and n/2 only to
+        # round-off; the stored half takes those rows from the mirror
+        assert not np.array_equal(f.half[:, [0, n // 2]], raw[:, [0, n // 2]])
+        want = _expand_half(raw, n)[:, : n // 2 + 1]
+        want[0, 0] = 0.0
+        assert f.half.tobytes() == want.tobytes()
+
+
+class TestLayoutGuard:
+    """The full/half layout conversion lives in spectral.py alone."""
+
+    HELPERS = {"_expand_half", "_fold_half", "_mirror_indices"}
+
+    @staticmethod
+    def is_int(node, value):
+        return isinstance(node, ast.Constant) and node.value == value
+
+    @classmethod
+    def offences(cls, source):
+        """Code (not docstrings or comments) that handles the layout itself."""
+        hits = []
+        for node in ast.walk(ast.parse(source)):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in cls.HELPERS:
+                hits.append(f"names {name}")
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "coeffs"
+            ):
+                hits.append(f"indexes the full layout: {ast.unparse(node)}")
+            elif (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Add)
+                and cls.is_int(node.right, 1)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.FloorDiv)
+                and cls.is_int(node.left.right, 2)
+            ):
+                hits.append(f"computes the half width: {ast.unparse(node)}")
+        return hits
+
+    def test_no_module_but_spectral_handles_the_layout(self):
+        import pathlib
+
+        import sqglab
+
+        modules = sorted(pathlib.Path(sqglab.__file__).parent.glob("*.py"))
+        assert any(p.name == "spectral.py" for p in modules)
+        found = {
+            p.name: self.offences(p.read_text())
+            for p in modules
+            if p.name != "spectral.py"
+        }
+        assert {name: hits for name, hits in found.items() if hits} == {}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from .spectral import SpectralField, _expand_half, _fold_half",
+            "snapshots.append(SpectralField(lat, _expand_half(coeffs_now, lat.n)))",
+            "coeffs = theta.coeffs[:, : lat.n // 2 + 1].copy()",
+            "half = f.coeffs[:, :m]",
+            "m = lattice.n // 2 + 1",
+        ],
+    )
+    def test_guard_flags_layout_code(self, line):
+        assert self.offences(line)
+
+    def test_guard_ignores_docstrings_and_field_halves(self):
+        source = '"""shape (n, n//2 + 1), see _expand_half"""\nmag2 = f.half.real**2\n'
+        assert self.offences(source) == []
