@@ -434,6 +434,21 @@ def cmd_sweep(args):
     return EXIT_CHECK_FAILED if errors else EXIT_OK
 
 
+def _whole_count(text):
+    """A count given as a whole number; an integral float such as 1e4 passes."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also inf and nan
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    return int(value)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sqglab",
@@ -451,7 +466,7 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run inequality verification ensembles")
     p_ver.add_argument("lemmas", nargs="*", help=f"lemma ids ({', '.join(LEMMA_IDS)}) or 'all'")
-    p_ver.add_argument("--samples", type=lambda s: int(float(s)), help="ensemble size")
+    p_ver.add_argument("--samples", type=_whole_count, help="ensemble size")
     p_ver.add_argument("--n", type=int, default=64, help="lattice size (default 64)")
     p_ver.add_argument("--alpha", type=float, default=0.25)
     p_ver.add_argument("--seed", type=int, default=0)

@@ -473,7 +473,7 @@ def decay_experiment(
     if cfg.snapshot_every == 0:
         raise ValueError("decay experiments need snapshots; set snapshot_every > 0")
 
-    lattice = cfg.lattice()
+    lattice = theta0.lattice
     if deltas is None:
         deltas = default_delta_ladder(lattice)
     if c_hat is None:

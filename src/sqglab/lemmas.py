@@ -9,11 +9,14 @@ the inequality shape failed outright: a positive left side against a zero
 right side (no finite constant works), or, for the shapes with explicit
 constants, an excess beyond the quadrature tolerance.
 
-The scalar ensembles are evaluated in batches: elementary samples in fixed
-slices of the drawn arrays, exponential-kernel profiles in fixed blocks of
-rows (one :func:`check_exp_kernel` call per block), and the trilinear shape
-forms its advection term once per field for every sigma.  The random draws
-keep their per-sample order, so the reports do not depend on the block sizes.
+The scalar ensembles run in memory that does not grow with the sample
+count: elementary samples are drawn and tallied in fixed slices, from three
+copies of the seed's stream advanced to the offsets of a whole-array draw
+(see :func:`_elementary_draws`), and exponential-kernel profiles are drawn
+and checked in fixed blocks of rows (one :func:`check_exp_kernel` call per
+block).  The trilinear shape forms its advection term once per field for
+every sigma.  The random draws keep their per-sample values and order, so the
+reports do not depend on the block sizes.
 
 The field shapes work on the rfft2 half spectrum through private cores that
 the public ``check_*`` functions wrap.  A product-law sample makes one kernel
@@ -71,9 +74,11 @@ _EXTRA_IDS = ("cauchy-advection",)
 MIN_SAMPLES = 10  # smallest ensemble estimate_constant accepts
 
 # batch sizes of the scalar ensembles; they bound the working memory and
-# change no reported number
-_ELEMENTARY_CHUNK = 65_536
-_EXP_KERNEL_BLOCK = 1024
+# change no reported number.  A slice of 16,384 doubles is 128 KB and a block
+# of 256 profiles on the default 201-point grid 400 KB, so one batch with its
+# temporaries stays near the size of a typical per-core L2 cache (1-2 MB)
+_ELEMENTARY_CHUNK = 16_384
+_EXP_KERNEL_BLOCK = 256
 
 
 @dataclass
@@ -326,6 +331,29 @@ def _draw(spec, rng):
     return draw_field(spec.generator, spec.lattice, rng, spec.params)
 
 
+def _elementary_draws(spec, lo, hi, s_lo, s_hi):
+    """The elementary samples (a, c, sigma) in slices of _ELEMENTARY_CHUNK.
+
+    ``Generator.uniform`` takes one 64-bit PCG64 output per double, so
+    sample i of a, c and sigma is draw i, count + i and 2 count + i of the
+    stream of ``default_rng(spec.seed)``: the values of three whole-array
+    draws of ``count`` each.  Three copies of that stream, advanced to
+    those offsets, give each slice without holding the arrays.
+    """
+    count = spec.count
+    streams = [np.random.default_rng(spec.seed) for _ in range(3)]
+    for k, stream in enumerate(streams):
+        stream.bit_generator.advance(k * count)
+    a_rng, c_rng, s_rng = streams
+    for start in range(0, count, _ELEMENTARY_CHUNK):
+        size = min(_ELEMENTARY_CHUNK, count - start)
+        yield (
+            a_rng.uniform(lo, hi, size=size),
+            c_rng.uniform(lo, hi, size=size),
+            s_rng.uniform(s_lo, s_hi, size=size),
+        )
+
+
 class _Tally:
     def __init__(self):
         self.max_ratio = 0.0
@@ -373,13 +401,9 @@ def estimate_constant(spec, which, params=None):
     if which == "elementary":
         lo, hi = params.get("mag_range", (0.0, 10.0))
         s_lo, s_hi = params.get("sigma_range", (1.0, 2.0))
-        a = rng.uniform(lo, hi, size=spec.count)
-        c = rng.uniform(lo, hi, size=spec.count)
-        s = rng.uniform(s_lo, s_hi, size=spec.count)
-        maxima = []
-        for start in range(0, spec.count, _ELEMENTARY_CHUNK):
-            part = slice(start, start + _ELEMENTARY_CHUNK)
-            lhs, rhs = check_elementary(a[part], c[part], s[part])
+        best = None
+        for a_part, c_part, s_part in _elementary_draws(spec, lo, hi, s_lo, s_hi):
+            lhs, rhs = check_elementary(a_part, c_part, s_part)
             zero = rhs == 0.0
             tally.degenerate += int(np.count_nonzero(zero & (lhs == 0.0)))
             tally.violations += int(
@@ -387,8 +411,9 @@ def estimate_constant(spec, which, params=None):
             )
             good = ~zero
             if good.any():
-                maxima.append(np.max(lhs[good] / rhs[good]))
-        tally.max_ratio = float(np.max(maxima)) if maxima else 0.0
+                top = np.max(lhs[good] / rhs[good])
+                best = top if best is None else np.maximum(best, top)
+        tally.max_ratio = 0.0 if best is None else float(best)
 
     elif which == "2.5-expkernel":
         grid = int(params.get("grid", 201))

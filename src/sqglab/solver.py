@@ -27,6 +27,8 @@ from .spectral import (
     _advection_coeffs,
     _from_half,
     _half_columns,
+    _lattice_size,
+    _whole_number,
     dealias,
     make_lattice,
 )
@@ -51,9 +53,11 @@ __all__ = [
 
 SERIES_COLUMNS = ("t", "L2", "Ha", "H2m2a_hom", "H2m2a", "H2ma", "D_L2", "D_H")
 
-# Largest step count ceil(t_end / dt) a configuration may request: 2500 times
-# the 4000 steps of the acceptance run.  A dt such as 1e-300 is finite and
-# positive but asks for a run that would never finish.
+# Largest step count a run may take: 2500 times the 4000 steps of the
+# acceptance run.  A dt such as 1e-300 is finite and positive but asks for a
+# run that would never finish, so SolverConfig caps ceil(t_end / dt); a
+# CFL-shortened step has no floor, so simulate also raises CflError once the
+# steps taken plus those left at the current step exceed the cap.
 MAX_STEPS = 10**7
 
 
@@ -67,18 +71,6 @@ class BlowupError(RuntimeError):
 
 class CflError(RuntimeError):
     """Raised when the requested time step violates the advective CFL bound."""
-
-
-def _whole_number(name, value, low):
-    """``value`` as an int >= low; integral floats pass, bools do not."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    return int(value)
 
 
 def _mode(mode):
@@ -132,8 +124,8 @@ class SolverConfig:
     numbers: an integral float becomes an int, a bool or a fraction is
     rejected.  ``auto_dt``, ``nonlinear`` and ``track_cancellation`` take
     only ``True`` or ``False``.  At most :data:`MAX_STEPS` steps may be
-    requested, and ``n`` is capped by the lattice
-    (:data:`sqglab.spectral.MAX_LATTICE_N`).
+    requested or, with CFL-shortened steps, taken, and ``n`` is capped by
+    the lattice (:data:`sqglab.spectral.MAX_LATTICE_N`).
     """
 
     alpha: float
@@ -196,7 +188,7 @@ class SolverConfig:
             silent = all((j1, j2) == (0, 0) or amp == 0 for j1, j2, amp, _ in self.init_modes)
             if silent and target:
                 raise ValueError("init_modes give the zero field, which has no nonzero norm")
-        make_lattice(self.n, self.box_len)  # validates n / box_len
+        _lattice_size(self.n, self.box_len)  # the lattice's checks, without building it
 
     def lattice(self):
         return make_lattice(self.n, self.box_len)
@@ -466,6 +458,13 @@ def simulate(theta0, cfg):
                         f"dt={dt_now:g} exceeds the CFL bound {bound:g} at t={t:g}"
                     )
                 dt_now = bound
+        # step_index + (t_end - t) / dt_now > MAX_STEPS, without dividing by
+        # a step that an infinite max|u| shortens to zero
+        if dt_now * (MAX_STEPS - step_index) < cfg.t_end - t:
+            raise CflError(
+                f"steps of {dt_now:g} from t={t:g} need more than {MAX_STEPS} "
+                f"steps in all to reach t_end={cfg.t_end:g}"
+            )
         coeffs = stepper.advance(coeffs, dt_now, k1)
         t += dt_now
         step_index += 1

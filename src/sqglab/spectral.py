@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,35 @@ __all__ = [
 # larger n cannot run in the memory of an ordinary machine; the check runs
 # before anything is allocated.
 MAX_LATTICE_N = 4096
+
+
+def _whole_number(name, value, low):
+    """``value`` as an int >= low; integral floats pass, bools do not."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def _lattice_size(n, box_len):
+    """``(n, box_len)`` checked as a lattice takes them, allocating nothing.
+
+    ``n`` must be a whole, even number with 8 <= n <= MAX_LATTICE_N (an
+    integral float becomes an int) and ``box_len`` positive and finite.
+    """
+    n = _whole_number("lattice size", n, -math.inf)
+    if n % 2 != 0 or n < 8:
+        raise ValueError(f"lattice size must be even and >= 8, got {n}")
+    if n > MAX_LATTICE_N:
+        raise ValueError(f"lattice size must be <= {MAX_LATTICE_N}, got {n}")
+    box_len = float(box_len)
+    if not (box_len > 0 and math.isfinite(box_len)):
+        raise ValueError(f"box_len must be positive and finite, got {box_len}")
+    return n, box_len
 
 
 @functools.lru_cache(maxsize=8)
@@ -117,12 +147,9 @@ class FrequencyLattice:
     dealias_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 8:
-            raise ValueError(f"lattice size must be even and >= 8, got {self.n}")
-        if self.n > MAX_LATTICE_N:
-            raise ValueError(f"lattice size must be <= {MAX_LATTICE_N}, got {self.n}")
-        if not (self.box_len > 0 and math.isfinite(self.box_len)):
-            raise ValueError(f"box_len must be positive and finite, got {self.box_len}")
+        n, box_len = _lattice_size(self.n, self.box_len)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "box_len", box_len)
         j = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
         j1, j2 = np.meshgrid(j, j, indexing="ij")
         step = 2.0 * np.pi / self.box_len
@@ -170,8 +197,12 @@ class FrequencyLattice:
 
 
 def make_lattice(n, box_len):
-    """Build a FrequencyLattice; n even, 8 <= n <= MAX_LATTICE_N, box_len > 0."""
-    return FrequencyLattice(int(n), float(box_len))
+    """Build a FrequencyLattice after the checks of :func:`_lattice_size`.
+
+    ``n`` is a whole, even number with 8 <= n <= MAX_LATTICE_N (an integral
+    float such as 16.0 counts as 16); ``box_len`` is positive and finite.
+    """
+    return FrequencyLattice(n, box_len)
 
 
 class SpectralField:

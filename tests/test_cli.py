@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sqglab
 from sqglab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_GATE,
@@ -564,3 +567,35 @@ class TestParser:
         code = main(["--version"])
         assert code == 0
         assert capsys.readouterr().out.strip()
+
+
+class TestCountsAndStepCaps:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "12.7", "1e4.5", "ten"])
+    def test_samples_must_be_a_whole_number(self, tmp_path, capsys, value):
+        out = tmp_path / "reports"
+        assert main(["verify", "elementary", "--samples", value, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,count", [("1e4", 10_000), ("20", 20), ("2.0e1", 20)])
+    def test_whole_sample_counts_run(self, tmp_path, value, count):
+        out = tmp_path / "reports"
+        assert main(["verify", "elementary", "--samples", value, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "lemma_elementary.json").read_text())["samples"] == count
+
+    def test_cfl_step_cap_exits_instability(self, tmp_path):
+        # in a subprocess with a timeout, so that a run that never ends fails
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "run"
+        src = os.path.dirname(os.path.dirname(sqglab.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        args = ["simulate", str(cfg), "--set", "cfl=1e-12", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqglab.cli", *args],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == EXIT_INSTABILITY, proc.stderr
+        assert "instability:" in proc.stderr and "Traceback" not in proc.stderr
+        assert failure_manifest(out) == ({"stable": False}, ["manifest.json"])

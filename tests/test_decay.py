@@ -380,3 +380,16 @@ class TestShellSpectrumPath:
             assert (split.int_v_negsigma, split.m_delta) == duhamel_highfreq_bound(
                 traj, delta, ALPHA, c_hat
             )
+
+
+class TestLatticeReuse:
+    def test_decay_experiment_runs_on_the_field_lattice(self, monkeypatch):
+        cfg = run_config(t_end=0.5)
+        theta0 = initial_field(cfg)
+        reference = decay_experiment(cfg, theta0, target=math.inf).to_json_dict()
+
+        def no_new_lattice(self):
+            raise AssertionError("decay_experiment built a second lattice")
+
+        monkeypatch.setattr(SolverConfig, "lattice", no_new_lattice)
+        assert decay_experiment(cfg, theta0, target=math.inf).to_json_dict() == reference

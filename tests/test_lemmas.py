@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,3 +501,57 @@ class TestHalfSpectrumCores:
             want = np.stack([h.coeffs[:, :m] for h in (g, *riesz_velocity(f))])
             assert np.array_equal(f_half, f.coeffs[:, :m])
             assert np.array_equal(partners, want)
+
+
+def traced_peak(run):
+    """Peak bytes traced by tracemalloc (numpy buffers included) over run()."""
+    run()  # warm every cache first, so that only the ensemble's own memory counts
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConstantMemoryEnsembles:
+    @pytest.mark.parametrize(
+        "seed,mag_range", [(1, (0.0, 10.0)), (6, (2.0, 3.0)), (2, (0.0, 0.0))]
+    )
+    def test_small_slices_match_the_whole_array_exactly(self, monkeypatch, seed, mag_range):
+        monkeypatch.setattr(sqglab.lemmas, "_ELEMENTARY_CHUNK", 1000)
+        count = 2500
+        spec = EnsembleSpec(count=count, seed=seed)
+        report = estimate_constant(spec, "elementary", {"mag_range": mag_range})
+        reference = elementary_ensemble(count, seed, mag_range)
+        assert (report.max_ratio, report.violations, report.degenerate_samples) == reference
+
+    def test_slices_are_the_whole_array_draws(self, monkeypatch):
+        # sample i of a, c and sigma is draw i, count + i and 2 count + i
+        monkeypatch.setattr(sqglab.lemmas, "_ELEMENTARY_CHUNK", 1000)
+        count, seed = 2500, 11
+        spec = EnsembleSpec(count=count, seed=seed)
+        parts = list(sqglab.lemmas._elementary_draws(spec, 0.0, 10.0, 1.0, 2.0))
+        assert [len(p[0]) for p in parts] == [1000, 1000, 500]
+        rng = np.random.default_rng(seed)
+        whole = [rng.uniform(lo, hi, count) for lo, hi in ((0.0, 10.0), (0.0, 10.0), (1.0, 2.0))]
+        for k in range(3):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])
+
+    def test_elementary_memory_does_not_grow_with_the_count(self):
+        chunk = sqglab.lemmas._ELEMENTARY_CHUNK
+
+        def run(count):
+            return lambda: estimate_constant(EnsembleSpec(count=count, seed=5), "elementary")
+
+        small, large = traced_peak(run(4 * chunk)), traced_peak(run(32 * chunk))
+        assert large <= 1.25 * small, (small, large)
+
+    def test_exp_kernel_memory_does_not_grow_with_the_count(self):
+        block = sqglab.lemmas._EXP_KERNEL_BLOCK
+
+        def run(count):
+            return lambda: estimate_constant(EnsembleSpec(count=count, seed=5), "2.5-expkernel")
+
+        small, large = traced_peak(run(4 * block)), traced_peak(run(32 * block))
+        assert large <= 1.25 * small, (small, large)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,3 +444,31 @@ class TestSeriesCsv:
         assert data["alpha"] == cfg.alpha
         np.testing.assert_array_equal(data["t"], record.snapshot_times)
         np.testing.assert_array_equal(data["coeffs"][0], record.snapshots[0].coeffs)
+
+
+class TestStepCap:
+    def test_config_checks_the_lattice_without_building_it(self):
+        small_config(n=1024)  # warm the imports and caches it touches
+        tracemalloc.start()
+        try:
+            cfg = small_config(n=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.n == 1024
+        assert peak < 1_000_000  # a 1024-point lattice holds about 59 MB
+
+    def test_cap_counts_the_steps_taken_and_left(self, monkeypatch):
+        import sqglab.solver
+
+        # four CFL-shortened steps of growing length; the first projects
+        # 0.5 / 0.105 = 4.7 steps in all
+        cfg = small_config(init_norm=5.0, dt=0.5, t_end=0.5)
+        times = simulate(initial_field(cfg), cfg).times
+        taken = len(times) - 1
+        assert taken == 4
+        monkeypatch.setattr(sqglab.solver, "MAX_STEPS", taken + 1)
+        assert np.array_equal(simulate(initial_field(cfg), cfg).times, times)
+        monkeypatch.setattr(sqglab.solver, "MAX_STEPS", taken)
+        with pytest.raises(CflError):
+            simulate(initial_field(cfg), cfg)

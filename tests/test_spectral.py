@@ -1,4 +1,5 @@
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -521,3 +522,26 @@ class TestLayoutGuard:
     def test_guard_ignores_docstrings_and_field_halves(self):
         source = '"""shape (n, n//2 + 1), see _expand_half"""\nmag2 = f.half.real**2\n'
         assert self.offences(source) == []
+
+
+class TestLatticeSize:
+    @pytest.mark.parametrize("n", [16.5, "16", True, 16 + 1e-9])
+    def test_n_must_be_a_whole_number(self, n):
+        with pytest.raises(ValueError):
+            make_lattice(n, 1.0)
+
+    def test_integral_float_n_builds_the_same_lattice(self):
+        lat, ref = make_lattice(16.0, 1.0), make_lattice(16, 1.0)
+        assert type(lat.n) is int and lat.n == 16
+        assert np.array_equal(lat.k2, ref.k2)
+        assert np.array_equal(lat.dealias_mask, ref.dealias_mask)
+
+    def test_the_lattice_runs_the_shared_checks(self):
+        from sqglab.spectral import FrequencyLattice, _lattice_size
+
+        assert _lattice_size(64.0, 2) == (64, 2.0)
+        for n, box in [(16.5, 1.0), (14 + 0j, 1.0), (6, 1.0), (8194, 1.0), (16, math.inf)]:
+            with pytest.raises(ValueError):
+                _lattice_size(n, box)
+            with pytest.raises(ValueError):
+                FrequencyLattice(n, box)
