@@ -17,6 +17,7 @@ deltas); any key can be overridden on the command line with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -29,8 +30,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .decay import GateError, decay_experiment
-from .lemmas import LEMMA_IDS, MIN_SAMPLES, EnsembleSpec, estimate_constant
+from .lemmas import _SAMPLES, _SPEC_RULES, LEMMA_IDS, EnsembleSpec, estimate_constant
 from .solver import (
+    _CONFIG_RULES,
     BlowupError,
     CflError,
     SolverConfig,
@@ -39,7 +41,7 @@ from .solver import (
     initial_field,
     simulate,
 )
-from .spectral import make_lattice
+from .spectral import _check_fields, _checked, _Open, make_lattice
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,11 +50,18 @@ EXIT_INSTABILITY = 3
 EXIT_GATE = 4
 
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
-_CHECK_KEYS = {"tol_l2", "tol_h", "decay_target", "occupation_fraction", "deltas"}
 
 
 class UsageError(Exception):
     pass
+
+
+# One rule row per CheckOptions field, read by sqglab.spectral._checked; the
+# deltas row is each cutoff's, in a list that may not be empty.
+_CHECK_RULES = {
+    name: ("real", _Open(0.0))
+    for name in ("tol_l2", "tol_h", "decay_target", "occupation_fraction", "deltas")
+}
 
 
 @dataclass
@@ -64,17 +73,12 @@ class CheckOptions:
     deltas: tuple | None = None
 
     def __post_init__(self):
-        values = [self.tol_l2, self.tol_h, self.decay_target, self.occupation_fraction]
-        if any(isinstance(v, bool) for v in values):
-            raise TypeError("check options must be numbers, not booleans")
-        if not all(math.isfinite(v) for v in values + list(self.deltas or ())):
-            raise ValueError("check options must be finite")
-        if not all(v > 0 for v in values):
-            raise ValueError(
-                "tol_l2, tol_h, decay_target and occupation_fraction must be positive"
-            )
-        if self.deltas is not None and not (self.deltas and all(d > 0 for d in self.deltas)):
-            raise ValueError("deltas must be a non-empty list of positive cutoffs")
+        _check_fields(self, {k: v for k, v in _CHECK_RULES.items() if k != "deltas"})
+        if self.deltas is not None:
+            if not isinstance(self.deltas, (list, tuple)) or not self.deltas:
+                raise ValueError(f"deltas must be a non-empty list, got {self.deltas!r}")
+            rule = _CHECK_RULES["deltas"]
+            self.deltas = tuple(float(_checked("deltas cutoff", d, *rule)) for d in self.deltas)
 
 
 @dataclass
@@ -110,6 +114,15 @@ def _parse_override(text):
     return key.strip(), value
 
 
+def _split_config(data):
+    """A config object's SolverConfig and CheckOptions keys; any other key is a usage error."""
+    unknown = set(data) - _SOLVER_KEYS - set(_CHECK_RULES)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    solver_kwargs = {k: v for k, v in data.items() if k in _SOLVER_KEYS}
+    return solver_kwargs, {k: v for k, v in data.items() if k in _CHECK_RULES}
+
+
 def load_config(path, overrides=()):
     """Read the flat JSON config, apply overrides, split solver/check keys."""
     try:
@@ -124,14 +137,8 @@ def load_config(path, overrides=()):
     for text in overrides:
         key, value = _parse_override(text)
         data[key] = value
-    unknown = set(data) - _SOLVER_KEYS - _CHECK_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    solver_kwargs = {k: v for k, v in data.items() if k in _SOLVER_KEYS}
-    check_kwargs = {k: v for k, v in data.items() if k in _CHECK_KEYS}
+    solver_kwargs, check_kwargs = _split_config(data)
     try:
-        if check_kwargs.get("deltas") is not None:
-            check_kwargs["deltas"] = tuple(float(d) for d in check_kwargs["deltas"])
         return SolverConfig(**solver_kwargs), CheckOptions(**check_kwargs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
@@ -227,11 +234,6 @@ def cmd_verify(args):
             raise UsageError(
                 f"unknown lemma id {lemma_id!r}; choose from " + ", ".join(LEMMA_IDS)
             )
-    alpha = args.alpha
-    if not 0 < alpha < 0.5:
-        raise UsageError(f"--alpha must lie in (0, 1/2), got {alpha}")
-    if args.samples is not None and args.samples < MIN_SAMPLES:
-        raise UsageError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     try:
         lattice = make_lattice(args.n, 2.0 * math.pi)
     except ValueError as exc:
@@ -246,9 +248,9 @@ def cmd_verify(args):
             count = _DEFAULT_SAMPLES.get(lemma_id, 200)
         params = {}
         if lemma_id in ("2.1-productlaw-two-term", "2.2-productlaw"):
-            params = {"s1": 1.0 - 2.0 * alpha, "s2": alpha}
+            params = {"s1": 1.0 - 2.0 * args.alpha, "s2": args.alpha}
         elif lemma_id in ("2.3-trilinear", "2.4-bilinear"):
-            params = {"alpha": alpha}
+            params = {"alpha": args.alpha}
         spec = EnsembleSpec(
             count=count,
             generator=args.generator,
@@ -272,10 +274,7 @@ def cmd_verify(args):
 def cmd_decay(args):
     cfg, checks = load_config(args.config, args.set or ())
     if args.target is not None:
-        try:
-            checks = dataclasses.replace(checks, decay_target=args.target)
-        except ValueError as exc:
-            raise UsageError(f"invalid --target: {exc}") from exc
+        checks = dataclasses.replace(checks, decay_target=args.target)
     target = checks.decay_target
     if cfg.snapshot_every == 0:
         samples = max(2, int(round(cfg.t_end / cfg.dt)) // cfg.output_every)
@@ -371,9 +370,9 @@ def cmd_sweep(args):
             spec = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read sweep spec: {exc}") from exc
-    if not isinstance(spec, dict) or "base" not in spec:
-        raise UsageError("sweep spec must be an object with a 'base' config")
-    base = dict(spec["base"])
+    if not isinstance(spec, dict) or not isinstance(spec.get("base"), dict):
+        raise UsageError("sweep spec must be an object with a 'base' config object")
+    base, base_checks = _split_config(spec["base"])
     grid = spec.get("grid", {})
     if not isinstance(grid, dict):
         raise UsageError("sweep grid must be an object mapping axes to value lists")
@@ -383,17 +382,20 @@ def cmd_sweep(args):
     for name, values in grid.items():
         if not isinstance(values, list) or not values:
             raise UsageError(f"sweep axis {name!r} must be a non-empty list, got {values!r}")
+    tolerances = {k: spec[k] for k in ("tol_l2", "tol_h") if k in spec}
     try:
-        checks = CheckOptions(**{k: spec[k] for k in ("tol_l2", "tol_h") if k in spec})
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid sweep tolerances: {exc}") from exc
+        checks = CheckOptions(**{**base_checks, **tolerances})
+    except ValueError as exc:
+        raise UsageError(f"invalid sweep check options: {exc}") from exc
     axes = [(name, list(grid[name])) for name in _SWEEP_AXES if name in grid]
     combos = list(itertools.product(*(vals for _, vals in axes))) or [()]
+    # both take whole numbers >= 1: one rule row for the two
+    sizes = {"max_jobs": spec.get("max_jobs", 64)}
+    sizes["SQGLAB_WORKERS"] = _number(os.environ.get("SQGLAB_WORKERS", "1"))
     try:
-        max_jobs = int(spec.get("max_jobs", 64))
-        workers = int(os.environ.get("SQGLAB_WORKERS", "1"))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"max_jobs and SQGLAB_WORKERS must be integers: {exc}") from exc
+        max_jobs, workers = (_checked(name, v, "whole", 1) for name, v in sizes.items())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if len(combos) > max_jobs:
         raise UsageError(f"sweep of {len(combos)} runs exceeds max_jobs={max_jobs}")
 
@@ -434,19 +436,24 @@ def cmd_sweep(args):
     return EXIT_CHECK_FAILED if errors else EXIT_OK
 
 
-def _whole_count(text):
-    """A count given as a whole number; an integral float such as 1e4 passes."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value.is_integer():  # also inf and nan
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
-    return int(value)
+def _number(text):
+    """``text`` as an int, else as a float, else unchanged, for a rule to check."""
+    for parse in (int, float):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    return text
+
+
+def _ruled(name, rule):
+    """An argparse type for a flag whose value ``rule`` checks (see _checked)."""
+
+    def parse(text):
+        try:
+            return _checked(name, _number(text), *rule)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def build_parser():
@@ -466,15 +473,11 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run inequality verification ensembles")
     p_ver.add_argument("lemmas", nargs="*", help=f"lemma ids ({', '.join(LEMMA_IDS)}) or 'all'")
-    p_ver.add_argument("--samples", type=_whole_count, help="ensemble size")
-    p_ver.add_argument("--n", type=int, default=64, help="lattice size (default 64)")
-    p_ver.add_argument("--alpha", type=float, default=0.25)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument(
-        "--generator",
-        default="gaussian",
-        choices=("gaussian", "multi_mode", "dyadic_bumps"),
-    )
+    p_ver.add_argument("--samples", type=_ruled("samples", _SAMPLES), help="ensemble size")
+    p_ver.add_argument("--n", type=_number, default=64, help="lattice size (default 64)")
+    p_ver.add_argument("--alpha", type=_ruled("alpha", _CONFIG_RULES["alpha"]), default=0.25)
+    p_ver.add_argument("--seed", type=_ruled("seed", _SPEC_RULES["seed"]), default=0)
+    p_ver.add_argument("--generator", default="gaussian", choices=_SPEC_RULES["generator"][0])
     p_ver.add_argument("--out", help="report directory (default sqglab-verify)")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -483,7 +486,8 @@ def build_parser():
     p_dec.add_argument("--out", help="output directory (default sqglab-decay)")
     p_dec.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_dec.add_argument("--force", action="store_true", help="run even if the gate fails")
-    p_dec.add_argument("--target", type=float, help="terminal-ratio target (default 0.01)")
+    target = _ruled("target", _CHECK_RULES["decay_target"])
+    p_dec.add_argument("--target", type=target, help="terminal-ratio target (default 0.01)")
     p_dec.set_defaults(func=cmd_decay)
 
     p_sw = sub.add_parser("sweep", help="grid of runs aggregated into one CSV")

@@ -31,6 +31,7 @@ import numpy as np
 from .lemmas import EnsembleSpec, estimate_constant
 from .norms import hom_norm, inhom_norm, interpolation_gap, shell_spectrum
 from .solver import simulate, smallness_gate
+from .spectral import _ALPHA, _checked
 # unused here; bound only because perfbench/spans.py wraps these names
 from .spectral import high_pass, low_pass  # noqa: F401
 
@@ -169,8 +170,7 @@ def duhamel_highfreq_bound(traj, delta, alpha, c_hat):
     quadratic term, with c_hat the product-law constant for s1 = s2 = alpha.
     """
     _require_snapshots(traj)
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    _checked("alpha", alpha, *_ALPHA)
     low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
     split = _split_ledgers(traj, [delta], alpha, c_hat, low, high)[0]
     return split.int_v_negsigma, split.m_delta

@@ -33,12 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import draw_field, multi_mode_field
+from .fields import _GENERATORS, draw_field, multi_mode_field
 # multiply and scalar_product are not called here any more; they stay bound
 # in this module because perfbench/spans.py wraps them
 from .norms import _half_pairings, _half_sq_norms, hom_norm, scalar_product  # noqa: F401
 from .spectral import (  # noqa: F401
+    _ALPHA,
     _advection_coeffs,
+    _check_fields,
+    _checked,
     _half_multipliers,
     _quadratic_coeffs,
     advect,
@@ -72,6 +75,7 @@ LEMMA_IDS = (
 _EXTRA_IDS = ("cauchy-advection",)
 
 MIN_SAMPLES = 10  # smallest ensemble estimate_constant accepts
+_SAMPLES = ("whole", MIN_SAMPLES)  # the rule row of its sample count
 
 # batch sizes of the scalar ensembles; they bound the working memory and
 # change no reported number.  A slice of 16,384 doubles is 128 KB and a block
@@ -79,6 +83,11 @@ MIN_SAMPLES = 10  # smallest ensemble estimate_constant accepts
 # temporaries stays near the size of a typical per-core L2 cache (1-2 MB)
 _ELEMENTARY_CHUNK = 16_384
 _EXP_KERNEL_BLOCK = 256
+
+
+# One rule row per EnsembleSpec field, read by sqglab.spectral._checked; the
+# lattice and params are checked by the lemma that reads them.
+_SPEC_RULES = {"count": ("whole", 1), "generator": (tuple(_GENERATORS),), "seed": ("whole", 0)}
 
 
 @dataclass
@@ -92,8 +101,7 @@ class EnsembleSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("ensemble count must be >= 1")
+        _check_fields(self, _SPEC_RULES)
 
 
 @dataclass
@@ -220,8 +228,7 @@ def check_trilinear(theta, sigma, alpha):
     for s in sigmas:
         if not s >= 1.0:
             raise ValueError(f"need sigma >= 1, got {s}")
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    _checked("alpha", alpha, *_ALPHA)
     lat, th = theta.lattice, theta.half
     term = advect(theta, theta).half
     (crit,) = _norms(lat, th[None], 2.0 - 2.0 * alpha)
@@ -243,8 +250,7 @@ def _bilinear_core(lat, pair, alpha, include_self=True):
     of omega and theta are taken once each.  Returns one (first, second)
     per pair, as in check_bilinear.
     """
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    _checked("alpha", alpha, *_ALPHA)
     s = 2.0 - 2.0 * alpha
     theta = pair[1]
     terms, _ = _advection_coeffs(lat, pair if include_self else pair[:1], theta)
@@ -392,8 +398,7 @@ def estimate_constant(spec, which, params=None):
     """
     if which not in LEMMA_IDS and which not in _EXTRA_IDS:
         raise ValueError(f"unknown lemma id {which!r}; choose from {LEMMA_IDS}")
-    if spec.count < MIN_SAMPLES:
-        raise ValueError(f"constant estimation needs at least {MIN_SAMPLES} samples")
+    _checked("constant estimation samples", spec.count, *_SAMPLES)
     params = dict(params or {})
     rng = np.random.default_rng(spec.seed)
     tally = _Tally()

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .spectral import _half_columns
+from .spectral import _ALPHA, _checked, _half_columns
 
 __all__ = [
     "parseval_weight",
@@ -142,8 +142,7 @@ def interpolation_gap(theta, alpha):
     Returns RHS - LHS (homogeneous norms).  Nonnegative up to round-off for
     every nonzero mean-free field; equality on single-mode fields.
     """
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    _checked("alpha", alpha, *_ALPHA)
     l2 = hom_norm(theta, 0.0)
     if l2 == 0.0:
         raise ValueError("interpolation gap is undefined for the zero field")

@@ -15,8 +15,7 @@ modeling assumptions.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,11 +23,14 @@ from . import fields as field_gen
 from .norms import _half_weight, inhom_norm
 from .spectral import (
     SpectralField,
+    _ALPHA,
+    _Open,
     _advection_coeffs,
+    _check_fields,
+    _checked,
     _from_half,
     _half_columns,
     _lattice_size,
-    _whole_number,
     dealias,
     make_lattice,
 )
@@ -73,21 +75,46 @@ class CflError(RuntimeError):
     """Raised when the requested time step violates the advective CFL bound."""
 
 
+# The rule rows of one init_modes entry [j1, j2, amplitude, phase].
+_MODE_RULES = (("mode index", "whole"),) * 2 + (("amplitude", "real"), ("phase", "real"))
+
+
 def _mode(mode):
-    """One init_modes entry as (j1, j2, amplitude, phase): integral indices, finite reals."""
+    """One init_modes entry as (j1, j2, amplitude, phase), checked by _MODE_RULES."""
     try:
         j1, j2, amp, phase = mode
     except (TypeError, ValueError):
         raise ValueError(
             f"each init_modes entry must be [j1, j2, amplitude, phase], got {mode!r}"
         ) from None
-    j1, j2 = (_whole_number("mode index", j, -math.inf) for j in (j1, j2))
-    for value in (amp, phase):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"mode amplitude and phase must be numbers, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"mode amplitude and phase must be finite, got {value!r}")
-    return (j1, j2, amp, phase)
+    values = (j1, j2, amp, phase)
+    return tuple(_checked(name, v, *rule) for (name, *rule), v in zip(_MODE_RULES, values))
+
+
+# One rule row per SolverConfig field: kind, then the low and high bound, as
+# sqglab.spectral._checked reads them (_Open marks a bound the value may not
+# reach).  A field whose default is None may also be None.  n and box_len are
+# the lattice's (sqglab.spectral._lattice_size: whole, even, 8 <= n <=
+# MAX_LATTICE_N; box_len > 0), init_modes entries follow _MODE_RULES, and the
+# rules that span fields are written out in __post_init__.
+_CONFIG_RULES = {
+    "alpha": _ALPHA,
+    "dt": ("real", _Open(0.0)),
+    "t_end": ("real",),
+    "output_every": ("whole", 1),
+    "snapshot_every": ("whole", 0),
+    "eps0": ("real", _Open(0.0)),
+    "seed": ("whole", 0),
+    "cfl": ("real", _Open(0.0)),
+    "auto_dt": ("flag",),
+    "nonlinear": ("flag",),
+    "blowup_factor": ("real", 1.0),
+    "track_cancellation": ("flag",),
+    "init_kind": (tuple(field_gen._GENERATORS),),
+    "init_slope": ("real",),
+    "init_norm": ("real", 0.0),
+    "init_norm_rel": ("real", 0.0),
+}
 
 
 @dataclass
@@ -95,7 +122,7 @@ class SolverConfig:
     """Run parameters.
 
     alpha
-        dissipation exponent, 0 < alpha < 1/2.
+        dissipation exponent.
     n, box_len
         lattice resolution and period.
     dt, t_end
@@ -112,20 +139,18 @@ class SolverConfig:
         default 0.25 / C_hat(alpha) with C_hat estimated by the inequality
         lab; always overridable.
     seed
-        seed for reproducible initial data, a nonnegative integer.
+        seed for reproducible initial data.
     init_kind, init_slope
         generator family of the random initial data (see
         :func:`sqglab.fields.draw_field`) and the Gaussian envelope slope.
     init_modes
         explicit (j1, j2, amplitude, phase) modes used instead of a random
-        draw; indices are integers, amplitude and phase finite numbers.
+        draw.
 
-    ``n``, ``output_every``, ``snapshot_every`` and ``seed`` take whole
-    numbers: an integral float becomes an int, a bool or a fraction is
-    rejected.  ``auto_dt``, ``nonlinear`` and ``track_cancellation`` take
-    only ``True`` or ``False``.  At most :data:`MAX_STEPS` steps may be
-    requested or, with CFL-shortened steps, taken, and ``n`` is capped by
-    the lattice (:data:`sqglab.spectral.MAX_LATTICE_N`).
+    The kind and bounds of every field are its row in ``_CONFIG_RULES``
+    above (README, "Run configuration"); the rules across fields are
+    checked after it.  At most :data:`MAX_STEPS` steps may be requested or,
+    with CFL-shortened steps, taken.
     """
 
     alpha: float
@@ -149,34 +174,16 @@ class SolverConfig:
     init_norm_rel: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        _check_fields(self, _CONFIG_RULES)
+        self.n = _lattice_size(self.n, self.box_len)[0]  # the lattice's checks, unbuilt
         if not self.t_end >= self.dt:
             raise ValueError("t_end must be at least one step")
         if self.t_end / self.dt > MAX_STEPS:  # same as ceil(t_end / dt) > MAX_STEPS
             raise ValueError(
                 f"t_end / dt asks for more than {MAX_STEPS} steps, got {self.t_end / self.dt:g}"
             )
-        if self.eps0 is not None and not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
-        if not 0 < self.cfl:
-            raise ValueError("cfl must be positive")
         if self.init_norm is not None and self.init_norm_rel is not None:
             raise ValueError("set init_norm or init_norm_rel, not both")
-        for name, low in (("n", 8), ("seed", 0), ("output_every", 1), ("snapshot_every", 0)):
-            setattr(self, name, _whole_number(name, getattr(self, name), low))
-        for name in ("auto_dt", "nonlinear", "track_cancellation"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.init_kind not in field_gen._GENERATORS:
-            kinds = sorted(field_gen._GENERATORS)
-            raise ValueError(f"unknown init_kind {self.init_kind!r}; choose from {kinds}")
         if self.init_modes is not None:
             if not isinstance(self.init_modes, (list, tuple)):
                 raise ValueError(
@@ -184,11 +191,9 @@ class SolverConfig:
                     f"got {self.init_modes!r}"
                 )
             self.init_modes = tuple(_mode(m) for m in self.init_modes)
-            target = self.init_norm if self.init_norm is not None else self.init_norm_rel
             silent = all((j1, j2) == (0, 0) or amp == 0 for j1, j2, amp, _ in self.init_modes)
-            if silent and target:
+            if silent and (self.init_norm or self.init_norm_rel):  # at most one is set
                 raise ValueError("init_modes give the zero field, which has no nonzero norm")
-        _lattice_size(self.n, self.box_len)  # the lattice's checks, without building it
 
     def lattice(self):
         return make_lattice(self.n, self.box_len)

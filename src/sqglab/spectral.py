@@ -18,9 +18,10 @@ Conventions (fixed for the whole package, see README):
 from __future__ import annotations
 
 import functools
-import math
 import numbers
-from dataclasses import dataclass, field
+import operator
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,16 +50,56 @@ __all__ = [
 MAX_LATTICE_N = 4096
 
 
-def _whole_number(name, value, low):
-    """``value`` as an int >= low; integral floats pass, bools do not."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    return int(value)
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+class _Open(float):
+    """A bound a value may not reach: ``_Open(0.0)`` as the low bound means > 0."""
+
+
+def _checked(name, value, kind, low=None, high=None):
+    """``value`` checked against one rule row ``(kind, low, high)``, and returned.
+
+    ``kind`` is "real", "whole", "flag" or a tuple of the allowed values
+    (compared by ==, so an unhashable value is rejected, not raised on).  A
+    bool is never a number and a string is not one; a number must be finite,
+    and a whole kind turns an integral float into an int.  ``low`` and
+    ``high`` are inclusive bounds, exclusive when given as :class:`_Open`.
+    The error names the field and the rule it breaks.
+    """
+    if isinstance(kind, tuple):
+        ok, what = value in kind, f"one of {list(kind)}"
+    elif kind == "flag":
+        ok, what = isinstance(value, bool), "true or false"
+    else:
+        what = "a whole number" if kind == "whole" else "a finite number"
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = ok and abs(value) <= sys.float_info.max  # False for inf, nan
+        ok = ok and (kind == "real" or value == int(value))
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    for bound, side in ((low, ">"), (high, "<")):
+        sign = side if type(bound) is _Open else side + "="
+        if bound is not None and not _COMPARE[sign](value, bound):
+            raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")
+    return int(value) if kind == "whole" else value
+
+
+# The rule row of the dissipation exponent, 0 < alpha < 1/2, read by every
+# function and config that takes one.
+_ALPHA = ("real", _Open(0.0), _Open(0.5))
+
+
+def _check_fields(obj, rules):
+    """Check each field of dataclass ``obj`` that ``rules`` names, in place.
+
+    A field whose default is None may also be None; its rule checks any
+    other value.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in rules and not (value is None and f.default is None):
+            setattr(obj, f.name, _checked(f.name, value, *rules[f.name]))
 
 
 def _lattice_size(n, box_len):
@@ -67,15 +108,10 @@ def _lattice_size(n, box_len):
     ``n`` must be a whole, even number with 8 <= n <= MAX_LATTICE_N (an
     integral float becomes an int) and ``box_len`` positive and finite.
     """
-    n = _whole_number("lattice size", n, -math.inf)
-    if n % 2 != 0 or n < 8:
-        raise ValueError(f"lattice size must be even and >= 8, got {n}")
-    if n > MAX_LATTICE_N:
-        raise ValueError(f"lattice size must be <= {MAX_LATTICE_N}, got {n}")
-    box_len = float(box_len)
-    if not (box_len > 0 and math.isfinite(box_len)):
-        raise ValueError(f"box_len must be positive and finite, got {box_len}")
-    return n, box_len
+    n = _checked("lattice size", n, "whole", 8, MAX_LATTICE_N)
+    if n % 2 != 0:
+        raise ValueError(f"lattice size must be even, got {n}")
+    return n, float(_checked("box_len", box_len, "real", _Open(0.0)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,9 +183,8 @@ class FrequencyLattice:
     dealias_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, box_len = _lattice_size(self.n, self.box_len)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "box_len", box_len)
+        for name, value in zip(("n", "box_len"), _lattice_size(self.n, self.box_len)):
+            object.__setattr__(self, name, value)
         j = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
         j1, j2 = np.meshgrid(j, j, indexing="ij")
         step = 2.0 * np.pi / self.box_len
@@ -358,11 +393,8 @@ def rescale_field(theta, lam, alpha):
     ||theta_lam||_{H^{2-2a}} = ||theta||_{H^{2-2a}} (homogeneous) holds to
     round-off rather than to an interpolation tolerance.
     """
-    lam_int = int(lam)
-    if lam_int != lam or lam_int < 1:
-        raise ValueError(f"scaling factor must be a positive integer, got {lam!r}")
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    lam_int = _checked("scaling factor", lam, "whole", 1)
+    _checked("alpha", alpha, *_ALPHA)
     target = make_lattice(theta.lattice.n, theta.lattice.box_len / lam_int)
     return _from_half(target, float(lam_int) ** (2.0 * alpha - 1.0) * theta.half)
 

@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import random
+import shutil
 import subprocess
 import sys
 
@@ -599,3 +602,170 @@ class TestCountsAndStepCaps:
         assert proc.returncode == EXIT_INSTABILITY, proc.stderr
         assert "instability:" in proc.stderr and "Traceback" not in proc.stderr
         assert failure_manifest(out) == ({"stable": False}, ["manifest.json"])
+
+
+REAL_KEYS = (
+    "alpha",
+    "dt",
+    "t_end",
+    "box_len",
+    "eps0",
+    "cfl",
+    "blowup_factor",
+    "init_slope",
+    "init_norm",
+    "init_norm_rel",
+    "tol_l2",
+    "tol_h",
+    "decay_target",
+    "occupation_fraction",
+)
+
+
+def assert_rejected(code, capsys, artifact):
+    """Exit 2 with an ``error:`` line, no traceback, and nothing written."""
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert "error:" in err and "Traceback" not in err
+    assert not artifact.exists()
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize(
+        "overrides",
+        [[f"{key}=true"] for key in REAL_KEYS]
+        + [
+            ["blowup_factor=0"],
+            ["blowup_factor=-1"],
+            ["blowup_factor=0.5"],
+            ["init_norm=-0.01", "init_norm_rel=null"],
+            ["init_norm_rel=-0.1"],
+            ["deltas=[true]"],
+        ],
+        ids=lambda overrides: overrides[0],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        sets = [arg for text in overrides for arg in ("--set", text)]
+        assert_rejected(main(["simulate", str(cfg), "--out", str(out), *sets]), capsys, out)
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--alpha", "true"]], ids=" ".join
+    )
+    def test_bad_verify_flag(self, tmp_path, capsys, flags):
+        out = tmp_path / "reports"
+        code = main(["verify", "elementary", "--samples", "20", "--out", str(out), *flags])
+        assert_rejected(code, capsys, out)
+
+    def test_integral_float_n_flag_runs_as_its_integer(self, tmp_path):
+        reports = []
+        for n in ("16", "16.0"):
+            out = tmp_path / n
+            args = ["verify", "2.3-trilinear", "--samples", "10", "--n", n, "--out", str(out)]
+            assert main(args) == EXIT_OK
+            reports.append((out / "lemma_2_3-trilinear.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"base": [1, 2]},
+            {"base": dict(BASE_CONFIG, flux_capacitor=1)},
+            {"base": BASE_CONFIG, "max_jobs": True},
+            {"base": BASE_CONFIG, "max_jobs": 0.5},
+            [BASE_CONFIG],
+        ],
+        ids=["list-base", "unknown-base-key", "bool-max-jobs", "fractional-max-jobs", "list-spec"],
+    )
+    def test_bad_sweep_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "s.csv"
+        assert_rejected(main(["sweep", str(path), "--out", str(out)]), capsys, out)
+
+    def test_zero_workers(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": BASE_CONFIG}))
+        out = tmp_path / "s.csv"
+        monkeypatch.setenv("SQGLAB_WORKERS", "0")
+        assert_rejected(main(["sweep", str(path), "--out", str(out)]), capsys, out)
+
+    def test_sweep_base_may_hold_check_options(self, tmp_path):
+        # the base takes every config key; its ledger tolerances are read like
+        # the spec's own, which win where both are given
+        plain, with_checks = tmp_path / "p.json", tmp_path / "c.json"
+        plain.write_text(json.dumps({"base": BASE_CONFIG, "tol_h": 0.5}))
+        base = dict(BASE_CONFIG, tol_h=-1.0, deltas=[1.0])
+        with_checks.write_text(json.dumps({"base": base, "tol_h": 0.5}))
+        out_p, out_c = tmp_path / "p.csv", tmp_path / "c.csv"
+        assert main(["sweep", str(plain), "--out", str(out_p)]) == EXIT_OK
+        assert main(["sweep", str(with_checks), "--out", str(out_c)]) == EXIT_OK
+        assert out_p.read_bytes() == out_c.read_bytes()
+
+
+# Pools of values per config key, valid and not, for the seeded fuzz below.
+# Valid runs stay small (n <= 16, t_end <= 0.05, three alphas so the eps0
+# calibration cache holds), and no valid value asks for many steps.
+FUZZ_POOLS = {
+    "alpha": [0.2, 0.25, 0.3, 0.0, 0.5, -0.1, True, "0.25", None, [0.25]],
+    "n": [8, 12, 16, 16.0, 15, 4, 16.5, True, "16", 10**9, None],
+    "dt": [0.01, 0.025, 0.0, -0.01, 1e-300, True, "0.01", math.inf],
+    "t_end": [0.02, 0.05, 0.001, 0, True, math.nan, 10**400],
+    "box_len": [2.0, 6.283185307179586, 7, 0.0, -1.0, True, math.inf, "2pi"],
+    "output_every": [1, 2, 2.0, 0, 1.5, True, "1"],
+    "snapshot_every": [0, 1, 3, -1, 0.5, False],
+    "eps0": [None, 1.0, 0.5, 0.0, -1.0, True, math.nan],
+    "seed": [0, 3, 7.0, -1, 1.5, True, "3", 2**70],
+    "cfl": [0.5, 0.25, 0.0, -0.5, True, math.inf],
+    "auto_dt": [True, False, 1, "yes", None],
+    "nonlinear": [True, False, 0, "false"],
+    "blowup_factor": [1e6, 10.0, 1.0, 0.5, 0, -1, True, math.nan],
+    "track_cancellation": [True, False, "no", 1],
+    "init_kind": ["gaussian", "multi_mode", "dyadic_bumps", "foo", ["gaussian"], 3],
+    "init_slope": [4.0, 2, -1.0, True, math.inf],
+    "init_modes": [
+        None,
+        [],
+        [[1, 0, 1.0, 0.0]],
+        [[2, 1, 0.5, 1.0], [0, 3, 0.2, 0.0]],
+        [[1, 0, 1, 0], [1, 0, -1, 0]],
+        [[0, 0, 1, 0]],
+        [[1, 2]],
+        [[1.5, 0, 1, 0]],
+        [[1, 0, True, 0]],
+        5,
+    ],
+    "init_norm": [None, 0.0, 0.01, 1.0, 50.0, -0.01, True, "1"],
+    "init_norm_rel": [None, 0.0, 0.1, 0.5, -0.1, True],
+    "tol_l2": [1e-4, 0.5, 1e-300, 0.0, -1.0, True, "abc"],
+    "tol_h": [1e-3, 0.0, True, None],
+    "decay_target": [0.01, 0.0, True],
+    "occupation_fraction": [0.1, -0.1, True],
+    "deltas": [None, [0.5, 1.0], [], [True], [-1.0], 2.0, ["a"]],
+}
+
+
+class TestSeededConfigFuzz:
+    def test_every_config_runs_or_exits_usage(self, tmp_path, capsys):
+        rng = random.Random(20211)
+        codes = {}
+        for i in range(200):
+            data = dict(BASE_CONFIG, t_end=0.04)
+            for key in rng.sample(sorted(FUZZ_POOLS), rng.randint(0, 3)):
+                data[key] = rng.choice(FUZZ_POOLS[key])
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / f"out{i}"
+            command = "decay" if rng.random() < 0.1 else "simulate"
+            code = main([command, str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, data
+            if code == EXIT_USAGE:
+                assert "error:" in err and not out.exists(), data
+            else:
+                assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INSTABILITY, EXIT_GATE), data
+                shutil.rmtree(out)
+            codes[code] = codes.get(code, 0) + 1
+        # the mix exercises both sides of the contract
+        assert codes.get(EXIT_USAGE, 0) >= 40 and codes.get(EXIT_OK, 0) >= 40, codes

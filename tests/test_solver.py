@@ -472,3 +472,75 @@ class TestStepCap:
         monkeypatch.setattr(sqglab.solver, "MAX_STEPS", taken)
         with pytest.raises(CflError):
             simulate(initial_field(cfg), cfg)
+
+
+REAL_CONFIG_FIELDS = (
+    "alpha",
+    "dt",
+    "t_end",
+    "box_len",
+    "eps0",
+    "cfl",
+    "blowup_factor",
+    "init_slope",
+    "init_norm",
+    "init_norm_rel",
+)
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize(
+        "bad",
+        [{name: True} for name in REAL_CONFIG_FIELDS]
+        + [
+            {"blowup_factor": 0.0},
+            {"blowup_factor": -1.0},
+            {"blowup_factor": 0.5},
+            {"init_norm": -0.01},
+            {"init_norm_rel": -0.1},
+            {"init_slope": math.inf},
+            {"init_kind": ["gaussian"]},
+            {"alpha": "0.25"},
+            {"t_end": 10**400},
+            {"output_every": 0.5},
+        ],
+        ids=repr,
+    )
+    def test_each_rule_rejects_its_bad_value_by_name(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            small_config(**bad)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [{"blowup_factor": 1.0}, {"init_norm": 0.0}, {"init_norm_rel": 0.0}, {"snapshot_every": 0}],
+        ids=repr,
+    )
+    def test_closed_bounds_accept_their_edge(self, edge):
+        cfg = small_config(**edge)
+        ((name, value),) = edge.items()
+        assert getattr(cfg, name) == value
+
+    def test_reals_keep_their_type(self):
+        cfg = small_config(t_end=1, box_len=6, blowup_factor=10)
+        assert (type(cfg.t_end), type(cfg.box_len), type(cfg.blowup_factor)) == (int,) * 3
+
+    def test_every_field_has_one_rule(self):
+        from sqglab import EnsembleSpec
+        from sqglab.cli import _CHECK_RULES, CheckOptions
+        from sqglab.lemmas import _SPEC_RULES
+        from sqglab.solver import _CONFIG_RULES
+
+        # fields the rules across fields own: the lattice checks n and
+        # box_len together (sqglab.spectral._lattice_size), init_modes is
+        # checked entry by entry and against the target norm, and an
+        # ensemble's lattice and params are checked by the lemma that reads them
+        owned = {
+            SolverConfig: {"n", "box_len", "init_modes"},
+            CheckOptions: set(),
+            EnsembleSpec: {"lattice", "params"},
+        }
+        tables = {SolverConfig: _CONFIG_RULES, CheckOptions: _CHECK_RULES, EnsembleSpec: _SPEC_RULES}
+        for cls, rules in tables.items():
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert names - owned[cls] == set(rules), cls.__name__
