@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import itertools
 import json
@@ -420,17 +421,13 @@ def cmd_sweep(args):
     ]
     seen = set()
     columns = [c for c in columns if not (c in seen or seen.add(c))]
-    with open(out_path, "w") as handle:
-        handle.write(",".join(columns) + "\n")
+    with open(out_path, "w", newline="") as handle:
+        # quoted where a cell needs it, such as an error status with a comma
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
-            cells = []
-            for name in columns:
-                value = row.get(name, "")
-                if isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value))
-            handle.write(",".join(cells) + "\n")
+            values = (row.get(name, "") for name in columns)
+            writer.writerow(repr(v) if isinstance(v, float) else str(v) for v in values)
     errors = sum(1 for row in rows if row["status"] != "ok")
     print(f"sweep: {len(rows)} runs, {errors} errors -> {out_path}")
     return EXIT_CHECK_FAILED if errors else EXIT_OK

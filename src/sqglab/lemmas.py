@@ -14,16 +14,20 @@ count: elementary samples are drawn and tallied in fixed slices, from three
 copies of the seed's stream advanced to the offsets of a whole-array draw
 (see :func:`_elementary_draws`), and exponential-kernel profiles are drawn
 and checked in fixed blocks of rows (one :func:`check_exp_kernel` call per
-block).  The trilinear shape forms its advection term once per field for
-every sigma.  The random draws keep their per-sample values and order, so the
-reports do not depend on the block sizes.
+block).  A block of profiles is drawn from one raw block of the seed's PCG64
+outputs, walked in Python ints in the order of the per-row scalar calls
+(sigma, t_end, segment count, levels; see :func:`_exp_kernel_draws`), so no
+Generator call is made per row.  The trilinear shape forms its advection
+term once per field for every sigma.  The random draws keep their per-sample
+values and order, so the reports do not depend on the block sizes.
 
 The field shapes work on the rfft2 half spectrum through private cores that
 the public ``check_*`` functions wrap.  A product-law sample makes one kernel
 call: f is transformed once against the stack (g, u1, u2) of its partners,
 and f's norms are taken once.  A bilinear sample makes one kernel call for
 the pairs (omega, theta) and (theta, theta), which share grad(theta), and
-norms omega and theta once each.
+norms omega and theta once each.  Each stack of half spectra is squared
+(|f_hat|^2) once and reduced at each order it is normed at.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ import numpy as np
 from .fields import _GENERATORS, draw_field, multi_mode_field
 # multiply and scalar_product are not called here any more; they stay bound
 # in this module because perfbench/spans.py wraps them
-from .norms import _half_pairings, _half_sq_norms, hom_norm, scalar_product  # noqa: F401
+from .norms import _half_mag2, _half_pairings, _mag2_sq_norms, hom_norm, scalar_product  # noqa: F401
 from .spectral import (  # noqa: F401
     _ALPHA,
+    _Open,
     _advection_coeffs,
     _check_fields,
     _checked,
@@ -83,6 +88,14 @@ _SAMPLES = ("whole", MIN_SAMPLES)  # the rule row of its sample count
 # temporaries stays near the size of a typical per-core L2 cache (1-2 MB)
 _ELEMENTARY_CHUNK = 16_384
 _EXP_KERNEL_BLOCK = 256
+
+# An exp-kernel row draws its segment count with integers(1, 12): numpy's
+# Lemire rule on a 32-bit output u gives 1 + (11 u >> 32) and draws u again
+# while (11 u) mod 2**32 < 2**32 mod 11.  Without such a redraw a row takes
+# at most 3 + 11 64-bit outputs: sigma, t_end, one integer output, the levels.
+_SEGMENTS = 11
+_LEMIRE_REJECT = 2**32 % _SEGMENTS
+_EXP_KERNEL_ROW_OUTPUTS = 3 + _SEGMENTS
 
 
 # One rule row per EnsembleSpec field, read by sqglab.spectral._checked; the
@@ -170,9 +183,9 @@ def _safe_ratio(lhs, denom):
     return lhs / denom
 
 
-def _norms(lat, half, s):
-    """Hdot^s norms of a stack of half spectra, as Python floats."""
-    return np.sqrt(_half_sq_norms(lat, half, s)).tolist()
+def _norms(lat, mag2, s):
+    """Hdot^s norms of a stack of half spectra from its |f_hat|^2, as Python floats."""
+    return np.sqrt(_mag2_sq_norms(lat, mag2, s)).tolist()
 
 
 def _product_law_core(lat, f, gs, s1, s2):
@@ -187,9 +200,9 @@ def _product_law_core(lat, f, gs, s1, s2):
     if not s1 + s2 > 0.0:
         raise ValueError(f"need s1 + s2 > 0, got {s1 + s2}")
     products, _ = _quadratic_coeffs(lat, f[None, None], gs[:, None])
-    lhs = _norms(lat, products, s1 + s2 - 1.0)
-    fields = np.concatenate((f[None], gs))
-    (f1, *g1s), (f2, *g2s) = _norms(lat, fields, s1), _norms(lat, fields, s2)
+    lhs = _norms(lat, _half_mag2(products), s1 + s2 - 1.0)
+    mag2 = _half_mag2(np.concatenate((f[None], gs)))
+    (f1, *g1s), (f2, *g2s) = _norms(lat, mag2, s1), _norms(lat, mag2, s2)
     ratios = []
     for left, g1, g2 in zip(lhs, g1s, g2s):
         two_term = _safe_ratio(left, f1 * g2 + f2 * g1)
@@ -231,11 +244,12 @@ def check_trilinear(theta, sigma, alpha):
     _checked("alpha", alpha, *_ALPHA)
     lat, th = theta.lattice, theta.half
     term = advect(theta, theta).half
-    (crit,) = _norms(lat, th[None], 2.0 - 2.0 * alpha)
+    mag2 = _half_mag2(th)
+    crit = math.sqrt(float(_mag2_sq_norms(lat, mag2, 2.0 - 2.0 * alpha)))
     pairs = [
         (
             abs(float(_half_pairings(lat, term, th, s, homogeneous=False))),
-            s * 2.0**s * crit * float(_half_sq_norms(lat, th, s + alpha)),
+            s * 2.0**s * crit * float(_mag2_sq_norms(lat, mag2, s + alpha)),
         )
         for s in sigmas
     ]
@@ -255,7 +269,8 @@ def _bilinear_core(lat, pair, alpha, include_self=True):
     theta = pair[1]
     terms, _ = _advection_coeffs(lat, pair if include_self else pair[:1], theta)
     lhs = np.abs(_half_pairings(lat, terms, theta, s, homogeneous=False)).tolist()
-    crit, high = _norms(lat, pair, s), _norms(lat, pair, 2.0 - alpha)
+    mag2 = _half_mag2(pair)
+    crit, high = _norms(lat, mag2, s), _norms(lat, mag2, 2.0 - alpha)
     th_crit, th_high = crit[1], high[1]
     return [
         (
@@ -293,7 +308,7 @@ def check_exp_kernel(h, sigma, t_end):
     (lhs, rhs) are arrays with one entry per row, equal to the row-by-row
     1-d results.  A 1-d ``h`` gives two floats.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.ascontiguousarray(h, dtype=float)
     if h.ndim not in (1, 2) or h.shape[-1] < 2:
         raise ValueError("h must be a 1-d or 2-d array with at least two samples per row")
     if np.any(h < 0.0):
@@ -305,15 +320,37 @@ def check_exp_kernel(h, sigma, t_end):
         raise ValueError("sigma must be positive")
     if not np.all(t_end > 0.0):
         raise ValueError("t_end must be positive")
-    z = np.linspace(0.0, t_end, rows.shape[1], axis=-1)
-    kernel = np.exp(-sigma[:, None] * (t_end[:, None] - z))
-    first = np.trapezoid(kernel * rows, z, axis=-1)
+    # linspace along the last axis is a transposed view; a C-ordered copy
+    # keeps every pass over the grid contiguous, and each trapezoid sum then
+    # reduces C-ordered rows, as a 1-d call does
+    z = np.ascontiguousarray(np.linspace(0.0, t_end, rows.shape[1], axis=-1))
+    dz = np.diff(z, axis=-1)
+    kernel = np.subtract(t_end[:, None], z, out=z)  # e^{-sigma (t_end - z)}, in z's buffer
+    kernel *= -sigma[:, None]
+    np.exp(kernel, out=kernel)
+    y, pair = kernel * rows, np.empty_like(dz)
+    first = _trapezoid(y, dz, pair)
     # Python's float ** (libm pow) can differ from numpy's square by an ulp
     lhs = np.array([float(v) ** 2 for v in first])
-    rhs = (2.0 / sigma) * np.trapezoid(kernel * rows**2, z, axis=-1)
+    y = np.square(rows, out=y)
+    y *= kernel
+    rhs = (2.0 / sigma) * _trapezoid(y, dz, pair)
     if h.ndim == 1:
         return float(lhs[0]), float(rhs[0])
     return lhs, rhs
+
+
+def _trapezoid(y, dz, pair):
+    """``np.trapezoid(y, z, axis=-1)`` by numpy's own formula, given dz = diff(z).
+
+    The formula, add.reduce(dz * (y[..., 1:] + y[..., :-1]) / 2.0), is
+    evaluated in the buffer ``pair`` (shaped like dz); a product does not
+    depend on its operand order, so the result is numpy's bit for bit.
+    """
+    np.add(y[..., 1:], y[..., :-1], out=pair)
+    pair *= dz
+    pair /= 2.0
+    return np.add.reduce(pair, axis=-1)
 
 
 def exp_kernel_tolerance(sigma, dz):
@@ -360,6 +397,90 @@ def _elementary_draws(spec, lo, hi, s_lo, s_hi):
         )
 
 
+def _exp_kernel_draws(rng, count, grid, sigma_range, t_range):
+    """The exp-kernel profiles (sigma, t_end, h) in blocks of _EXP_KERNEL_BLOCK rows.
+
+    Row i holds the values of the scalar calls ``rng.uniform(*sigma_range)``,
+    ``rng.uniform(*t_range)``, ``segments = rng.integers(1, 12)`` and
+    ``rng.uniform(0.0, 3.0, size=segments)``, made row after row; its h
+    repeats each level over ceil(grid / segments) points, cut to ``grid``.
+    Each block replays those calls on one raw block of ``rng``'s PCG64
+    outputs (see :func:`_exp_kernel_block`) and leaves ``rng`` where the
+    calls would have left it.
+    """
+    for start in range(0, count, _EXP_KERNEL_BLOCK):
+        rows = min(_EXP_KERNEL_BLOCK, count - start)
+        yield _exp_kernel_block(rng.bit_generator, rows, grid, sigma_range, t_range)
+
+
+def _exp_kernel_block(bits, rows, grid, sigma_range, t_range):
+    """``rows`` profiles of :func:`_exp_kernel_draws`, replayed on raw outputs of ``bits``.
+
+    * a uniform double is one 64-bit output x, lo + (hi - lo) * ((x >> 11) * 2**-53);
+    * a 32-bit output for integers(1, 12) is the buffered high half of the
+      last 64-bit output split (the state's has_uint32 and uinteger), else
+      the low half of a fresh output, whose high half is then buffered.
+
+    The walk over the block reads only the integer outputs, in Python ints;
+    the doubles and the profiles are gathered with numpy.  The block is drawn
+    for rows without a Lemire redraw and extended if redraws use up its slack;
+    then ``bits`` is set to the position and buffer the scalar calls reach.
+    """
+    begin = bits.state
+    has, buf = begin["has_uint32"], begin["uinteger"]
+    blocks = [bits.random_raw(rows * _EXP_KERNEL_ROW_OUTPUTS)]
+    raw = blocks[0].tolist()
+    firsts, segments, p = [], [], 0
+    for i in range(rows):
+        firsts.append(p)
+        p += 2  # sigma and t_end
+        while True:
+            if len(raw) < p + 1 + _SEGMENTS:
+                blocks.append(bits.random_raw((rows - i) * _EXP_KERNEL_ROW_OUTPUTS))
+                raw += blocks[-1].tolist()
+            if has:
+                u, has = buf, 0
+            else:
+                x = raw[p]
+                p += 1
+                u, buf, has = x & 0xFFFFFFFF, x >> 32, 1
+            m = u * _SEGMENTS
+            if m & 0xFFFFFFFF >= _LEMIRE_REJECT:
+                break
+        segments.append(1 + (m >> 32))
+        p += segments[-1]
+    bits.state = begin
+    bits.advance(p)
+    end = bits.state
+    end["has_uint32"], end["uinteger"] = has, buf
+    bits.state = end
+
+    unit = (np.concatenate(blocks) >> np.uint64(11)) * 2.0**-53
+    firsts, segments = np.array(firsts), np.array(segments)
+    ends = np.cumsum(segments)
+    row_of = np.repeat(np.arange(rows), segments)
+    # level j of the block (row r, r's level k) is the output that lies
+    # segments[r] - k before the next row's first output (p after the last)
+    level_at = (np.append(firsts[1:], p) - ends)[row_of] + np.arange(ends[-1])
+    k = np.arange(ends[-1]) - (ends - segments)[row_of]
+    width = (-(-grid // segments))[row_of]
+    counts = np.clip(grid - k * width, 0, width)
+    h = np.repeat(_uniform(0.0, 3.0, unit[level_at]), counts).reshape(rows, grid)
+    return _uniform(*sigma_range, unit[firsts]), _uniform(*t_range, unit[firsts + 1]), h
+
+
+def _uniform(lo, hi, unit):
+    """Generator.uniform(lo, hi) for the unit doubles ``unit``, by numpy's formula."""
+    return lo + (hi - lo) * unit
+
+
+def _positive_range(name, pair):
+    """``pair`` = (lo, hi) as floats, checked: 0 < lo <= hi, both finite."""
+    lo, hi = pair
+    lo = _checked(f"{name} low end", lo, "real", _Open(0.0))
+    return float(lo), float(_checked(f"{name} high end", hi, "real", lo))
+
+
 class _Tally:
     def __init__(self):
         self.max_ratio = 0.0
@@ -369,7 +490,7 @@ class _Tally:
     def add(self, ratio):
         if ratio is None:
             return
-        if math.isinf(ratio):
+        if not math.isfinite(ratio):  # no finite constant, or a NaN sample
             self.violations += 1
         elif ratio == 0.0:
             self.degenerate += 1
@@ -378,6 +499,9 @@ class _Tally:
 
     def add_explicit(self, lhs, rhs, tol):
         # shapes whose constant is built in: excess beyond tol is a violation
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            self.violations += 1
+            return
         if rhs == 0.0:
             if lhs > 0.0:
                 self.violations += 1
@@ -421,20 +545,10 @@ def estimate_constant(spec, which, params=None):
         tally.max_ratio = 0.0 if best is None else float(best)
 
     elif which == "2.5-expkernel":
-        grid = int(params.get("grid", 201))
-        s_lo, s_hi = params.get("sigma_range", (0.05, 10.0))
-        t_lo, t_hi = params.get("t_range", (0.1, 5.0))
-        for start in range(0, spec.count, _EXP_KERNEL_BLOCK):
-            rows = min(_EXP_KERNEL_BLOCK, spec.count - start)
-            sigmas, t_ends = np.empty(rows), np.empty(rows)
-            h = np.empty((rows, grid))
-            for i in range(rows):
-                sigmas[i] = rng.uniform(s_lo, s_hi)
-                t_ends[i] = rng.uniform(t_lo, t_hi)
-                # piecewise-constant profile on a handful of random segments
-                segments = int(rng.integers(1, 12))
-                levels = rng.uniform(0.0, 3.0, size=segments)
-                h[i] = np.repeat(levels, math.ceil(grid / segments))[:grid]
+        grid = _checked("grid", params.get("grid", 201), "whole", 2)
+        sigma_range = _positive_range("sigma_range", params.get("sigma_range", (0.05, 10.0)))
+        t_range = _positive_range("t_range", params.get("t_range", (0.1, 5.0)))
+        for sigmas, t_ends, h in _exp_kernel_draws(rng, spec.count, grid, sigma_range, t_range):
             lhs, rhs = check_exp_kernel(h, sigmas, t_ends)
             sides = zip(lhs.tolist(), rhs.tolist(), sigmas.tolist(), t_ends.tolist())
             for left, right, sigma, t_end in sides:

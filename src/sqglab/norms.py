@@ -61,10 +61,22 @@ def _half_weight(lattice, s, homogeneous=True):
     return cached
 
 
+def _half_mag2(half):
+    """|f_hat|^2 of half spectra, the one input of their squared norms."""
+    return half.real**2 + half.imag**2
+
+
+def _mag2_sq_norms(lattice, mag2, s):
+    """Squared Hdot^s norms from ``mag2`` = _half_mag2(half): one per (n, n//2 + 1) slice.
+
+    A stack normed at several orders is squared once and reduced per order.
+    """
+    return np.sum(_half_weight(lattice, s) * mag2, axis=(-2, -1))
+
+
 def _half_sq_norms(lattice, half, s):
     """Squared Hdot^s norms of half spectra: one per (n, n//2 + 1) slice of ``half``."""
-    mag2 = half.real**2 + half.imag**2
-    return np.sum(_half_weight(lattice, s) * mag2, axis=(-2, -1))
+    return _mag2_sq_norms(lattice, _half_mag2(half), s)
 
 
 def _half_pairings(lattice, a, b, s, homogeneous=True):
@@ -110,7 +122,7 @@ def shell_spectrum(f):
     is decided per shell, not per mode.
     """
     index, radii = _shells(f.lattice)
-    weighted = _half_weight(f.lattice, 0.0) * (f.half.real**2 + f.half.imag**2)
+    weighted = _half_weight(f.lattice, 0.0) * _half_mag2(f.half)
     return radii, np.bincount(index, weights=weighted.ravel())[1:]
 
 

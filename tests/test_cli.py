@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -490,6 +491,21 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert "ok" in lines[1] and "error" in lines[2]
+
+    def test_error_status_with_a_comma_reads_back_as_one_cell(self, tmp_path):
+        # the lattice's message for n = 15 holds a comma
+        with pytest.raises(ValueError) as rejected:
+            sqglab.SolverConfig(**dict(BASE_CONFIG, n=15))
+        assert "," in str(rejected.value)
+        path = self.make_spec(tmp_path, grid={"alpha": [0.25], "n": [16, 15]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+        with open(out, newline="") as handle:
+            header, ok_row, error_row = csv.reader(handle)
+        assert len(header) == len(ok_row) == len(error_row) == 8
+        assert ok_row[header.index("status")] == "ok"
+        assert error_row[header.index("n")] == "15"
+        assert error_row[header.index("status")] == f"error: {rejected.value}"
 
     def test_modes_that_cancel_to_zero_are_a_row_error(self, tmp_path):
         base = dict(BASE_CONFIG, init_modes=[[1, 0, 1, 0], [1, 0, -1, 0]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqglab import hom_norm, inhom_norm, make_lattice
+from sqglab import SpectralField, hom_norm, inhom_norm, make_lattice
 from sqglab.fields import (
     draw_field,
     dyadic_bumps_field,
@@ -86,3 +86,16 @@ def test_scaled_to_norm_hits_the_target(lat):
 def test_unknown_generator_rejected(lat):
     with pytest.raises(ValueError):
         draw_field("besov", lat, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 101])
+@pytest.mark.parametrize("n", [16, 64])
+def test_gaussian_field_is_the_complex_normal_construction_bit_for_bit(seed, n):
+    lattice = make_lattice(n, TWO_PI)
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    coeffs = (a + 1j * b) * lattice.symbol_power(-3.0) * lattice.dealias_mask
+    want = SpectralField(lattice, coeffs)
+    want = want * (1.0 / hom_norm(want, 0.0))
+    got = gaussian_random_field(lattice, 3.0, np.random.default_rng(seed))
+    assert got.half.tobytes() == want.half.tobytes()

@@ -250,6 +250,14 @@ class TestExpKernelBlock:
             args = h[i], float(sigma[i]), float(t_end[i])
             assert (lhs[i], rhs[i]) == check_exp_kernel(*args) == exp_kernel_sides(*args)
 
+    def test_fortran_ordered_block_equals_row_by_row_calls_exactly(self):
+        h, sigma, t_end = self.block(rows=256)
+        h = np.asfortranarray(h)
+        lhs, rhs = check_exp_kernel(h, sigma, t_end)
+        for i in range(h.shape[0]):
+            args = h[i], float(sigma[i]), float(t_end[i])
+            assert (lhs[i], rhs[i]) == check_exp_kernel(*args) == exp_kernel_sides(*args)
+
     def test_scalar_parameters_apply_to_every_row(self):
         h, _, _ = self.block(rows=5)
         lhs, rhs = check_exp_kernel(h, 2.0, 3.0)
@@ -292,6 +300,180 @@ class TestExpKernelBlock:
         report = estimate_constant(spec, "2.5-expkernel")
         reference = exp_kernel_ensemble(count, seed)
         assert (report.max_ratio, report.violations, report.degenerate_samples) == reference
+
+
+def scalar_call_rows(rng, count, grid, sigma_range=(0.05, 10.0), t_range=(0.1, 5.0)):
+    """The exp-kernel rows drawn with one Generator call per value, the reference."""
+    rows = []
+    for _ in range(count):
+        sigma = rng.uniform(*sigma_range)
+        t_end = rng.uniform(*t_range)
+        segments = int(rng.integers(1, 12))
+        levels = rng.uniform(0.0, 3.0, size=segments)
+        rows.append((sigma, t_end, np.repeat(levels, math.ceil(grid / segments))[:grid]))
+    return rows
+
+
+def replayed_rows(rng, count, grid, sigma_range=(0.05, 10.0), t_range=(0.1, 5.0)):
+    rows = []
+    for sigma, t_end, h in sqglab.lemmas._exp_kernel_draws(rng, count, grid, sigma_range, t_range):
+        assert h.shape == (len(sigma), grid) == (len(t_end), grid)
+        rows.extend(zip(sigma.tolist(), t_end.tolist(), h))
+    return rows
+
+
+def with_buffer(rng, has_uint32, uinteger):
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+# PCG64's 128-bit LCG multiplier; a step is state = state * M + inc and its
+# output is the XSL-RR mix of the new state
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_before(output_state, steps, inc):
+    """The LCG state ``steps`` steps before ``output_state``."""
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    state = output_state
+    for _ in range(steps):
+        state = ((state - inc) * inverse) % 2**128
+    return state
+
+
+# one row, the counts around one block, and many blocks
+REPLAY_COUNTS = [1, _EXP_KERNEL_BLOCK - 1, _EXP_KERNEL_BLOCK, _EXP_KERNEL_BLOCK + 1, 2500]
+
+
+class TestExpKernelReplay:
+    """The block replay of the per-row scalar calls, against those calls."""
+
+    @staticmethod
+    def assert_same_draws(make_rng, count, grid, **ranges):
+        reference, replay = make_rng(), make_rng()
+        want = scalar_call_rows(reference, count, grid, **ranges)
+        got = replayed_rows(replay, count, grid, **ranges)
+        assert len(got) == len(want) == count
+        for (s_want, t_want, h_want), (s_got, t_got, h_got) in zip(want, got):
+            assert (s_got, t_got) == (s_want, t_want)
+            assert h_got.tobytes() == h_want.tobytes()
+        assert replay.bit_generator.state == reference.bit_generator.state
+        # the next draws of both generators agree too, buffered half included
+        assert replay.integers(0, 2**31, size=3).tolist() == reference.integers(0, 2**31, size=3).tolist()
+
+    @pytest.mark.parametrize("grid", [201, 5, 2])
+    @pytest.mark.parametrize("count", REPLAY_COUNTS)
+    def test_rows_and_final_state_equal_the_scalar_calls(self, count, grid):
+        self.assert_same_draws(lambda: np.random.default_rng(23), count, grid)
+
+    @pytest.mark.parametrize("grid", [201, 5, 2])
+    @pytest.mark.parametrize("count", REPLAY_COUNTS)
+    def test_a_buffered_zero_is_redrawn_like_numpy(self, count, grid):
+        # a buffered 32-bit 0 fails Lemire's test, so row 0 draws its segment
+        # count again from a fresh output
+        self.assert_same_draws(lambda: with_buffer(np.random.default_rng(8), 1, 0), count, grid)
+
+    def test_a_pending_buffer_is_used_first(self):
+        # a buffered half that passes the test is row 0's integer draw
+        self.assert_same_draws(lambda: with_buffer(np.random.default_rng(8), 1, 2**31), 300, 201)
+
+    @pytest.mark.parametrize("count,extended", [(1, True), (2, False)])
+    def test_rejected_fresh_outputs_extend_the_raw_block(self, monkeypatch, count, extended):
+        # the stream's third output, row 0's integer draw, is 0: both of its
+        # 32-bit halves are redrawn.  A one-row block then has less room for
+        # row 0's levels than it reserved, and the walk draws more outputs; a
+        # two-row block still has the slack of its second row
+        inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
+        zero_output_state = (1 << 64) | 1  # hi ^ lo = 0 and no rotation
+        state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg64_state_before(zero_output_state, 3, inc), "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+        def make_rng():
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = state
+            return rng
+
+        assert make_rng().bit_generator.random_raw(3)[2] == 0
+        joined = []
+        concatenate = np.concatenate
+
+        def spy(arrays, *args, **kwargs):
+            joined.append([getattr(a, "dtype", None) for a in arrays])
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", spy)
+        self.assert_same_draws(make_rng, count, 201)
+        assert ([np.uint64, np.uint64] in joined) == extended  # a raw block and its extension
+
+    def test_parameter_ranges_are_replayed_exactly(self):
+        ranges = {"sigma_range": (1.0, 1.0), "t_range": (0.3, 7.25)}
+        self.assert_same_draws(lambda: np.random.default_rng(4), 300, 17, **ranges)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"grid": 2.7},
+            {"grid": 1},
+            {"grid": "201"},
+            {"grid": True},
+            {"sigma_range": (0.0, 1.0)},
+            {"sigma_range": (-1.0, 1.0)},
+            {"sigma_range": (2.0, 1.0)},
+            {"sigma_range": (0.1, math.inf)},
+            {"t_range": (0.0, 5.0)},
+            {"t_range": (-0.5, 5.0)},
+            {"t_range": (math.nan, 5.0)},
+        ],
+    )
+    def test_bad_parameters_rejected_before_any_draw(self, monkeypatch, params):
+        def no_draws(*args):
+            raise AssertionError("drew profiles for a bad parameter")
+
+        monkeypatch.setattr(sqglab.lemmas, "_exp_kernel_draws", no_draws)
+        with pytest.raises(ValueError):
+            estimate_constant(EnsembleSpec(count=10, seed=0), "2.5-expkernel", params)
+
+    def test_an_integral_float_grid_is_the_whole_number(self):
+        spec = EnsembleSpec(count=300, seed=3)
+        as_float = estimate_constant(spec, "2.5-expkernel", {"grid": 51.0})
+        as_int = estimate_constant(spec, "2.5-expkernel", {"grid": 51})
+        assert as_float.max_ratio == as_int.max_ratio
+        assert as_float.violations == as_int.violations == 0
+
+
+class TestTallyNonFinite:
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_ratio_is_a_violation(self, ratio):
+        tally = sqglab.lemmas._Tally()
+        tally.add(0.5)
+        tally.add(ratio)
+        assert (tally.max_ratio, tally.violations, tally.degenerate) == (0.5, 1, 0)
+
+    @pytest.mark.parametrize(
+        "lhs,rhs",
+        [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, 0.0), (math.inf, 1.0)],
+    )
+    def test_a_non_finite_side_is_a_violation(self, lhs, rhs):
+        tally = sqglab.lemmas._Tally()
+        tally.add_explicit(0.5, 1.0, 1e-9)
+        tally.add_explicit(lhs, rhs, 1e-9)
+        assert (tally.max_ratio, tally.violations, tally.degenerate) == (0.5, 1, 0)
+
+    def test_finite_samples_are_tallied_as_before(self):
+        tally = sqglab.lemmas._Tally()
+        tally.add(None)
+        tally.add(0.0)
+        tally.add(0.25)
+        tally.add_explicit(0.0, 0.0, 1e-9)
+        tally.add_explicit(1.0, 0.0, 1e-9)
+        tally.add_explicit(2.0, 1.0, 1e-9)
+        assert (tally.max_ratio, tally.violations, tally.degenerate) == (2.0, 2, 2)
 
 
 class TestEstimateConstant:
