@@ -95,9 +95,14 @@ class RunManifest:
     stats: dict = field(default_factory=dict)
 
     def write(self, path):
-        with open(path, "w") as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, dataclasses.asdict(self))
+
+
+def _write_json(path, obj):
+    """Write ``obj`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _now():
@@ -260,9 +265,7 @@ def cmd_verify(args):
         )
         report = estimate_constant(spec, lemma_id, params)
         path = os.path.join(outdir, f"lemma_{lemma_id.replace('.', '_')}.json")
-        with open(path, "w") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, report.to_json_dict())
         status = "ok" if report.passed else "VIOLATED"
         print(
             f"verify {lemma_id}: {status}, samples={report.samples}, "
@@ -306,9 +309,7 @@ def cmd_decay(args):
         return EXIT_INSTABILITY
 
     report_path = os.path.join(outdir, "decay_report.json")
-    with open(report_path, "w") as handle:
-        json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(report_path, report.to_json_dict())
     residuals_path = os.path.join(outdir, "residuals.csv")
     report.residuals_to_csv(residuals_path)
     manifest.outputs += [report_path, residuals_path]

@@ -319,26 +319,23 @@ def default_delta_ladder(lattice):
     return (0.5 * k, k, 2.0 * k, 4.0 * k)
 
 
-def estimate_split_constant(lattice, alpha, count=32, seed=13):
-    """Product-law constant for s1 = s2 = alpha used by the splitting ledger."""
+def _ensemble_max(lattice, which, params, count, seed):
+    """Largest estimated constant of ``which`` over a Gaussian and a few-mode ensemble."""
     best = 0.0
     for generator in ("gaussian", "multi_mode"):
         spec = EnsembleSpec(count=count, generator=generator, seed=seed, lattice=lattice)
-        report = estimate_constant(
-            spec, "2.2-productlaw", {"s1": alpha, "s2": alpha, "riesz_pairs": True}
-        )
-        best = max(best, report.estimated_constant)
+        best = max(best, estimate_constant(spec, which, params).estimated_constant)
     return best
+
+
+def estimate_split_constant(lattice, alpha, count=32, seed=13):
+    """Product-law constant for s1 = s2 = alpha used by the splitting ledger."""
+    return _ensemble_max(lattice, "2.2-productlaw", {"s1": alpha, "s2": alpha}, count, seed)
 
 
 def estimate_cauchy_constant(lattice, alpha, count=32, seed=17):
     """Advection L2-bound constant used by the Cauchy-in-time diagnostic."""
-    best = 0.0
-    for generator in ("gaussian", "multi_mode"):
-        spec = EnsembleSpec(count=count, generator=generator, seed=seed, lattice=lattice)
-        report = estimate_constant(spec, "cauchy-advection", {"alpha": alpha})
-        best = max(best, report.estimated_constant)
-    return best
+    return _ensemble_max(lattice, "cauchy-advection", {"alpha": alpha}, count, seed)
 
 
 @dataclass

@@ -26,8 +26,9 @@ the public ``check_*`` functions wrap.  A product-law sample makes one kernel
 call: f is transformed once against the stack (g, u1, u2) of its partners,
 and f's norms are taken once.  A bilinear sample makes one kernel call for
 the pairs (omega, theta) and (theta, theta), which share grad(theta), and
-norms omega and theta once each.  Each stack of half spectra is squared
-(|f_hat|^2) once and reduced at each order it is normed at.
+norms omega and theta once each.  Each stack of half spectra is normed at
+all its orders by one call of :func:`sqglab.norms._sq_norms`, which squares
+it once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .fields import _GENERATORS, draw_field, multi_mode_field
 # multiply and scalar_product are not called here any more; they stay bound
 # in this module because perfbench/spans.py wraps them
-from .norms import _half_mag2, _half_pairings, _mag2_sq_norms, hom_norm, scalar_product  # noqa: F401
+from .norms import _half_pairings, _sq_norms, hom_norm, scalar_product  # noqa: F401
 from .spectral import (  # noqa: F401
     _ALPHA,
     _Open,
@@ -183,11 +184,6 @@ def _safe_ratio(lhs, denom):
     return lhs / denom
 
 
-def _norms(lat, mag2, s):
-    """Hdot^s norms of a stack of half spectra from its |f_hat|^2, as Python floats."""
-    return np.sqrt(_mag2_sq_norms(lat, mag2, s)).tolist()
-
-
 def _product_law_core(lat, f, gs, s1, s2):
     """Product-law ratio pairs of the half spectrum ``f`` against each of ``gs``.
 
@@ -200,9 +196,9 @@ def _product_law_core(lat, f, gs, s1, s2):
     if not s1 + s2 > 0.0:
         raise ValueError(f"need s1 + s2 > 0, got {s1 + s2}")
     products, _ = _quadratic_coeffs(lat, f[None, None], gs[:, None])
-    lhs = _norms(lat, _half_mag2(products), s1 + s2 - 1.0)
-    mag2 = _half_mag2(np.concatenate((f[None], gs)))
-    (f1, *g1s), (f2, *g2s) = _norms(lat, mag2, s1), _norms(lat, mag2, s2)
+    (lhs,) = np.sqrt(_sq_norms(lat, products, (s1 + s2 - 1.0,))).tolist()
+    stack = np.concatenate((f[None], gs))
+    (f1, *g1s), (f2, *g2s) = np.sqrt(_sq_norms(lat, stack, (s1, s2))).tolist()
     ratios = []
     for left, g1, g2 in zip(lhs, g1s, g2s):
         two_term = _safe_ratio(left, f1 * g2 + f2 * g1)
@@ -224,6 +220,17 @@ def check_product_law(f, g, s1, s2):
     return _product_law_core(f.lattice, f.half, g.half[None], s1, s2)[0]
 
 
+def _trilinear_orders(sigma):
+    """The trilinear orders ``sigma`` (one or a sequence) as a tuple: non-empty, each >= 1."""
+    sigmas = (sigma,) if np.isscalar(sigma) else tuple(sigma)
+    if not sigmas:
+        raise ValueError("sigma must list at least one order")
+    for s in sigmas:
+        if not s >= 1.0:
+            raise ValueError(f"need sigma >= 1, got {s}")
+    return sigmas
+
+
 def check_trilinear(theta, sigma, alpha):
     """Both sides of |<u.grad theta, theta>_{H^sigma}| <= sigma 2^sigma C ||.||...
 
@@ -232,26 +239,24 @@ def check_trilinear(theta, sigma, alpha):
     ||theta||^2_{Hdot^{sigma+a}}.  Both sides are cubic in theta, so their
     ratio is exactly invariant under rescaling the field.
 
-    ``sigma`` may also be a sequence of orders; the advection term and
-    ||theta||_{Hdot^{2-2a}} are then formed once, and one (lhs, rhs) pair is
-    returned per order, in order.
+    ``sigma`` may also be a non-empty sequence of orders; the advection term
+    and ||theta||_{Hdot^{2-2a}} are then formed once, and one (lhs, rhs) pair
+    is returned per order, in order.
     """
     scalar = np.isscalar(sigma)
-    sigmas = (sigma,) if scalar else tuple(sigma)
-    for s in sigmas:
-        if not s >= 1.0:
-            raise ValueError(f"need sigma >= 1, got {s}")
+    sigmas = _trilinear_orders(sigma)
     _checked("alpha", alpha, *_ALPHA)
     lat, th = theta.lattice, theta.half
     term = advect(theta, theta).half
-    mag2 = _half_mag2(th)
-    crit = math.sqrt(float(_mag2_sq_norms(lat, mag2, 2.0 - 2.0 * alpha)))
+    orders = (2.0 - 2.0 * alpha, *(s + alpha for s in sigmas))
+    crit_sq, *high_sq = _sq_norms(lat, th, orders).tolist()
+    crit = math.sqrt(crit_sq)
     pairs = [
         (
             abs(float(_half_pairings(lat, term, th, s, homogeneous=False))),
-            s * 2.0**s * crit * float(_mag2_sq_norms(lat, mag2, s + alpha)),
+            s * 2.0**s * crit * sq,
         )
-        for s in sigmas
+        for s, sq in zip(sigmas, high_sq)
     ]
     return pairs[0] if scalar else pairs
 
@@ -269,8 +274,7 @@ def _bilinear_core(lat, pair, alpha, include_self=True):
     theta = pair[1]
     terms, _ = _advection_coeffs(lat, pair if include_self else pair[:1], theta)
     lhs = np.abs(_half_pairings(lat, terms, theta, s, homogeneous=False)).tolist()
-    mag2 = _half_mag2(pair)
-    crit, high = _norms(lat, mag2, s), _norms(lat, mag2, 2.0 - alpha)
+    crit, high = np.sqrt(_sq_norms(lat, pair, (s, 2.0 - alpha))).tolist()
     th_crit, th_high = crit[1], high[1]
     return [
         (
@@ -558,13 +562,11 @@ def estimate_constant(spec, which, params=None):
         s1 = params.get("s1", 0.25)
         s2 = params.get("s2", 0.25)
         want_product = which == "2.2-productlaw"
-        riesz_pairs = bool(params.get("riesz_pairs", True))
         for _ in range(spec.count):
-            f, g = _draw(spec, rng), _draw(spec, rng)
-            f, partners = f.half, g.half[None]
-            if riesz_pairs:  # the Riesz velocity (u1, u2) of f
-                velocity = _half_multipliers(spec.lattice)[0]
-                partners = np.concatenate((partners, velocity * f))
+            f, g = _draw(spec, rng).half, _draw(spec, rng).half
+            # f against g and against its own Riesz velocity (u1, u2)
+            velocity = _half_multipliers(spec.lattice)[0]
+            partners = np.concatenate((g[None], velocity * f))
             for two_term, product in _product_law_core(spec.lattice, f, partners, s1, s2):
                 tally.add(product if want_product else two_term)
 
@@ -572,7 +574,8 @@ def estimate_constant(spec, which, params=None):
         alpha = params.get("alpha", 0.25)
         sigmas = params.get("sigma", (1.0, 2.0 - 2.0 * alpha))
         if np.isscalar(sigmas):
-            sigmas = (float(sigmas),)
+            sigmas = float(sigmas)
+        sigmas = _trilinear_orders(sigmas)
         for _ in range(spec.count):
             theta = _draw(spec, rng)
             for lhs, rhs in check_trilinear(theta, sigmas, alpha):
@@ -580,12 +583,11 @@ def estimate_constant(spec, which, params=None):
 
     elif which == "2.4-bilinear":
         alpha = params.get("alpha", 0.25)
-        form = params.get("form", "both")
-        include_self = bool(params.get("include_self", True))
+        form = _checked("form", params.get("form", "both"), ("2.5", "2.6", "both"))
         for _ in range(spec.count):
             omega, theta = _draw(spec, rng), _draw(spec, rng)
             pair = np.stack((omega.half, theta.half))
-            for first, second in _bilinear_core(spec.lattice, pair, alpha, include_self):
+            for first, second in _bilinear_core(spec.lattice, pair, alpha):
                 if form in ("2.5", "both"):
                     tally.add(first)
                 if form in ("2.6", "both"):

@@ -14,6 +14,11 @@ Every norm, pairing and shell sum is read from a field's rfft2 half spectrum
 columns n/2+1 .. n-1 of the full spectrum are the conjugate mirror of
 columns n/2-1 .. 1 and count through a column weight of 2.  Stacks of half
 spectra (k, n, n//2 + 1) reduce in one call, slice by slice.
+
+Squared norms have one reduction, :func:`_sq_norms`: it squares a spectrum
+or stack once and sums it against the weight of each order asked for.  The
+public norms, the solver's tracked norms and the lemma lab all call it, so a
+norm read at one order is the same float wherever it is taken.
 """
 
 from __future__ import annotations
@@ -61,22 +66,17 @@ def _half_weight(lattice, s, homogeneous=True):
     return cached
 
 
-def _half_mag2(half):
-    """|f_hat|^2 of half spectra, the one input of their squared norms."""
-    return half.real**2 + half.imag**2
+def _sq_norms(lattice, half, orders):
+    """Squared Hdot^s norms of half spectra at each of ``orders``, orders leading.
 
-
-def _mag2_sq_norms(lattice, mag2, s):
-    """Squared Hdot^s norms from ``mag2`` = _half_mag2(half): one per (n, n//2 + 1) slice.
-
-    A stack normed at several orders is squared once and reduced per order.
+    ``half`` is one (n, n//2 + 1) half spectrum or a stack (..., n, n//2 + 1);
+    the result has shape (len(orders), ...), one squared norm per order and
+    slice.  The stack is squared once, |f_hat|^2, and reduced per order
+    against the cached weight, so no (orders, ..., n, n//2 + 1) temporary is
+    built.  This is the one reduction from a spectrum to its squared norms.
     """
-    return np.sum(_half_weight(lattice, s) * mag2, axis=(-2, -1))
-
-
-def _half_sq_norms(lattice, half, s):
-    """Squared Hdot^s norms of half spectra: one per (n, n//2 + 1) slice of ``half``."""
-    return _mag2_sq_norms(lattice, _half_mag2(half), s)
+    mag2 = half.real**2 + half.imag**2
+    return np.array([np.sum(_half_weight(lattice, s) * mag2, axis=(-2, -1)) for s in orders])
 
 
 def _half_pairings(lattice, a, b, s, homogeneous=True):
@@ -85,12 +85,17 @@ def _half_pairings(lattice, a, b, s, homogeneous=True):
     return np.sum(_half_weight(lattice, s, homogeneous) * cross, axis=(-2, -1))
 
 
-def hom_norm(f, s):
-    """Homogeneous Sobolev norm |||D|^s f||_{L2}; s may be any finite real."""
+def _order(s):
+    """The norm order ``s`` as a float, checked finite."""
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("norm order must be finite")
-    return math.sqrt(float(_half_sq_norms(f.lattice, f.half, s)))
+    return s
+
+
+def hom_norm(f, s):
+    """Homogeneous Sobolev norm |||D|^s f||_{L2}; s may be any finite real."""
+    return math.sqrt(float(_sq_norms(f.lattice, f.half, (_order(s),))[0]))
 
 
 def _shells(lattice):
@@ -122,7 +127,7 @@ def shell_spectrum(f):
     is decided per shell, not per mode.
     """
     index, radii = _shells(f.lattice)
-    weighted = _half_weight(f.lattice, 0.0) * _half_mag2(f.half)
+    weighted = _half_weight(f.lattice, 0.0) * (f.half.real**2 + f.half.imag**2)
     return radii, np.bincount(index, weights=weighted.ravel())[1:]
 
 
@@ -130,7 +135,8 @@ def inhom_norm(f, s):
     """Equivalent inhomogeneous norm sqrt(L2^2 + hom(s)^2); requires s > 0."""
     if not s > 0:
         raise ValueError(f"inhomogeneous order must be positive, got {s}")
-    return math.sqrt(hom_norm(f, 0.0) ** 2 + hom_norm(f, s) ** 2)
+    l2, hs = np.sqrt(_sq_norms(f.lattice, f.half, (0.0, _order(s)))).tolist()
+    return math.sqrt(l2**2 + hs**2)
 
 
 def scalar_product(f, g, s=0.0, homogeneous=True):
@@ -155,11 +161,10 @@ def interpolation_gap(theta, alpha):
     every nonzero mean-free field; equality on single-mode fields.
     """
     _checked("alpha", alpha, *_ALPHA)
-    l2 = hom_norm(theta, 0.0)
+    orders = (0.0, 2.0 - 2.0 * alpha, 2.0 - alpha)
+    l2, lhs, high = np.sqrt(_sq_norms(theta.lattice, theta.half, orders)).tolist()
     if l2 == 0.0:
         raise ValueError("interpolation gap is undefined for the zero field")
-    lhs = hom_norm(theta, 2.0 - 2.0 * alpha)
-    high = hom_norm(theta, 2.0 - alpha)
     a = alpha / (2.0 - alpha)
     rhs = l2**a * high ** (1.0 - a)
     return rhs - lhs

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fields as field_gen
-from .norms import _half_weight, inhom_norm
+from .norms import _half_pairings, _sq_norms, inhom_norm
 from .spectral import (
     SpectralField,
     _ALPHA,
@@ -370,8 +370,9 @@ def simulate(theta0, cfg):
     stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
     # squared L2, Hdot^a, Hdot^(2-2a), Hdot^(2-a) norms, then Hdot^1 for the
     # pairing's normalisation
-    orders = (0.0, cfg.alpha, 2.0 - 2.0 * cfg.alpha, 2.0 - cfg.alpha, 1.0)
-    w_l2, w_ha, w_hc, w_hh, w_h1 = (_half_weight(lat, s) for s in orders)
+    orders = (0.0, cfg.alpha, 2.0 - 2.0 * cfg.alpha, 2.0 - cfg.alpha)
+    if cfg.track_cancellation:
+        orders += (1.0,)
 
     times = []
     norm_rows = []
@@ -388,10 +389,7 @@ def simulate(theta0, cfg):
 
     def record_sample(t_now, coeffs_now):
         nonlocal d_l2, d_h, sample_index, next_k1
-        mag2 = coeffs_now.real**2 + coeffs_now.imag**2
-        l2sq, hasq, hcsq, hhsq = (
-            float(np.sum(w * mag2)) for w in (w_l2, w_ha, w_hc, w_hh)
-        )
+        l2sq, hasq, hcsq, hhsq, *h1 = _sq_norms(lat, coeffs_now, orders).tolist()
         if times:
             dt_s = t_now - times[-1]
             prev = norm_rows[-1]
@@ -409,10 +407,8 @@ def simulate(theta0, cfg):
             if tend is None or l2sq == 0.0:
                 cancel.append(0.0)
             else:
-                cross = tend.real * coeffs_now.real + tend.imag * coeffs_now.imag
-                pairing = abs(float(np.sum(w_l2 * cross)))
-                h1sq = l2sq + float(np.sum(w_h1 * mag2))
-                cancel.append(pairing / (math.sqrt(l2sq) * h1sq))
+                pairing = abs(float(_half_pairings(lat, tend, coeffs_now, 0.0)))
+                cancel.append(pairing / (math.sqrt(l2sq) * (l2sq + h1[0])))
         if cfg.snapshot_every and sample_index % cfg.snapshot_every == 0:
             snapshot_times.append(t_now)
             snapshots.append(_from_half(lat, coeffs_now))

@@ -139,6 +139,10 @@ class TestTrilinear:
         with pytest.raises(ValueError):
             check_trilinear(unit_mode(lat, 1, 0), (1.0, 0.8), ALPHA)
 
+    def test_an_empty_sigma_sequence_rejected(self, lat):
+        with pytest.raises(ValueError, match="at least one order"):
+            check_trilinear(unit_mode(lat, 1, 0), [], ALPHA)
+
 
 class TestBilinear:
     def test_identical_single_modes_vanish(self, lat):
@@ -543,6 +547,35 @@ class TestEstimateConstant:
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
         with pytest.raises(ValueError):
             estimate_constant(spec, "99-bogus", {})
+
+    @pytest.mark.parametrize(
+        "which,params",
+        [
+            ("2.4-bilinear", {"form": "2.7"}),
+            ("2.4-bilinear", {"form": ["both"]}),
+            ("2.3-trilinear", {"sigma": []}),
+            ("2.3-trilinear", {"sigma": ()}),
+            ("2.3-trilinear", {"sigma": [1.0, 0.8]}),
+        ],
+    )
+    def test_a_bad_shape_parameter_is_rejected_before_any_draw(
+        self, lat, monkeypatch, which, params
+    ):
+        # without the check the bad form and the empty sigma ran, tallied no
+        # sample and passed; a sigma below 1 failed only after a draw
+        def no_draws(*args):
+            raise AssertionError("drew a field for a bad parameter")
+
+        monkeypatch.setattr(sqglab.lemmas, "_draw", no_draws)
+        spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
+        with pytest.raises(ValueError, match="form|sigma"):
+            estimate_constant(spec, which, params)
+
+    @pytest.mark.parametrize("form", ["2.5", "2.6", "both"])
+    def test_each_bilinear_form_tallies_its_samples(self, lat, form):
+        spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
+        report = estimate_constant(spec, "2.4-bilinear", {"alpha": ALPHA, "form": form})
+        assert report.passed and report.max_ratio > 0.0
 
     @pytest.mark.parametrize("seed,mag_range", [(1, (0.0, 10.0)), (4, (0.0, 10.0)), (2, (0.0, 0.0))])
     def test_elementary_slices_match_the_whole_array_exactly(self, seed, mag_range):

@@ -292,13 +292,55 @@ class TestHalfSpectrumPath:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_a_stacked_reduction_equals_the_per_field_ones_exactly(self, n):
-        from sqglab.norms import _half_pairings, _half_sq_norms
+        from sqglab.norms import _half_pairings, _sq_norms
 
         lat = make_lattice(n, 3.7)
         fields = [self.draws(lat, seed)[k] for seed in range(3) for k in (0, 1)]
         stack = np.stack([h.coeffs[:, : n // 2 + 1] for h in fields])
         for s in self.ORDERS:
-            squares = _half_sq_norms(lat, stack, s)
+            (squares,) = _sq_norms(lat, stack, (s,))
             assert [math.sqrt(v) for v in squares] == [hom_norm(h, s) for h in fields]
             pairings = _half_pairings(lat, stack, stack[0], s).tolist()
             assert pairings == [scalar_product(h, fields[0], s) for h in fields]
+
+
+class TestOneReduction:
+    """Every squared norm comes from norms._sq_norms, however many orders a caller reads."""
+
+    SIZES = (8, 16, 48, 64)
+
+    @staticmethod
+    def fields(n):
+        lat = make_lattice(n, 3.7)
+        return TestHalfSpectrumPath.draws(lat, n + 2)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_each_row_is_the_hom_norm_at_its_order(self, n):
+        from sqglab.norms import _sq_norms
+
+        orders = (-1.5, -0.75, 0.0, 0.25, 1.5, 2.75)
+        fields = self.fields(n)
+        stack = np.stack([h.half for h in fields])
+        rows = np.sqrt(_sq_norms(fields[0].lattice, stack, orders))
+        assert rows.shape == (len(orders), len(fields))
+        assert rows.tolist() == [[hom_norm(h, s) for h in fields] for s in orders]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inhom_norm_is_its_two_norm_formula(self, n):
+        for f in self.fields(n):
+            for s in (0.25, 1.0, 1.5, 2.75):
+                assert inhom_norm(f, s) == math.sqrt(hom_norm(f, 0.0) ** 2 + hom_norm(f, s) ** 2)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_interpolation_gap_is_its_three_norm_formula(self, n):
+        for f in self.fields(n):
+            for alpha in (0.1, 0.25, 0.45):
+                a = alpha / (2.0 - alpha)
+                rhs = hom_norm(f, 0.0) ** a * hom_norm(f, 2.0 - alpha) ** (1.0 - a)
+                want = rhs - hom_norm(f, 2.0 - 2.0 * alpha)
+                assert interpolation_gap(f, alpha) == want
+
+    def test_inhom_norm_rejects_a_non_finite_order(self):
+        lat = make_lattice(16, TWO_PI)
+        with pytest.raises(ValueError, match="finite"):
+            inhom_norm(unit_mode(lat, 1, 0), math.inf)

@@ -337,6 +337,19 @@ class TestHalfSpectrumKernelPath:
         assert np.unique(np.diff(record.times)).size > 10  # many short steps
         assert len(steppers) == 1 and len(steppers[0]._factors) <= 1
 
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_first_sample_is_the_public_norms_of_the_initial_field(self, n, nonlinear):
+        # the tracked norms and hom_norm share one reduction, so they agree
+        # to the last bit
+        cfg = small_config(n=n, t_end=0.05, nonlinear=nonlinear, init_norm_rel=0.5)
+        record = simulate(initial_field(cfg), cfg)
+        series, theta = record.series, record.initial
+        orders = (0.0, cfg.alpha, 2.0 - 2.0 * cfg.alpha, 2.0 - cfg.alpha)
+        columns = (series.l2, series.h_alpha, series.h_crit_hom, series.h_high)
+        for s, column in zip(orders, columns):
+            assert column[0] == hom_norm(theta, s)
+
     def test_pairing_vanishes_when_3_divides_n(self):
         cfg = small_config(n=48, t_end=0.2, init_norm_rel=0.5, track_cancellation=True)
         record = simulate(initial_field(cfg), cfg)
