@@ -417,11 +417,11 @@ class DecayReport:
                 handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _interp_and_embedding(traj, deltas, high=None):
+def _interp_and_embedding(traj, high):
     """Per-snapshot interpolation residuals and the two-norm embedding slack.
 
     ``high`` is the high part of ``_band_norms_sq(traj.snapshots, deltas,
-    _ledger_orders(alpha))``; it is computed when not given.
+    _ledger_orders(alpha))``.
     """
     alpha = traj.config.alpha
     sigma = 2.0 - 3.0 * alpha
@@ -436,8 +436,6 @@ def _interp_and_embedding(traj, deltas, high=None):
         interp_rel[i] = gap / rhs if rhs > 0 else 0.0
     # Hdot^{-sigma} cap Hdot^alpha controls L2:
     # ||v||_{L2}^2 <= ||v||_{Hdot^-sigma}^{2a} ||v||_{Hdot^alpha}^{2(1-a)}
-    if high is None:
-        _, high = _band_norms_sq(traj.snapshots, deltas, _ledger_orders(alpha))
     v_l2sq, v_ha, v_neg = high[..., 0], high[..., 1], high[..., 2]
     occupied = v_l2sq > 0
     slack = (v_l2sq - v_neg**a * v_ha ** (1 - a)) / np.where(occupied, v_l2sq, 1.0)
@@ -516,7 +514,7 @@ def decay_experiment(
             (2.0 - cfg.alpha) / (1.0 - cfg.alpha),
         )
 
-    t_res, interp_rel, embed = _interp_and_embedding(traj, deltas, high)
+    t_res, interp_rel, embed = _interp_and_embedding(traj, high)
     cauchy = cauchy_in_time_check(traj, cfg.alpha, cauchy_c_hat)
 
     return DecayReport(

@@ -15,7 +15,7 @@ modeling assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -230,16 +230,8 @@ class NormSeries:
     d_h: np.ndarray
 
     def columns(self):
-        return (
-            self.times,
-            self.l2,
-            self.h_alpha,
-            self.h_crit_hom,
-            self.h_crit,
-            self.h_high,
-            self.d_l2,
-            self.d_h,
-        )
+        """The arrays in field order, which is the order of SERIES_COLUMNS."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def to_csv(self, path):
         """Write the pinned CSV layout: t,L2,Ha,H2m2a_hom,H2m2a,H2ma,D_L2,D_H."""
@@ -347,6 +339,23 @@ def step(theta, cfg):
     return _from_half(theta.lattice, out)
 
 
+def _norm_series(times, rows):
+    """The NormSeries of the sample ``times`` and their rows of squared norms.
+
+    A row holds the squared L2, Hdot^a, Hdot^(2-2a) and Hdot^(2-a) norms.
+    D_L2 and D_H are cumulative trapezoids over the squared norms they
+    integrate, summed in sample order (``np.cumsum`` adds in sequence).
+    """
+    t = np.asarray(times)
+    l2sq, hasq, hcsq, hhsq = squares = np.asarray(rows).T
+    l2, h_alpha, h_crit_hom, h_high = np.sqrt(squares)
+    d_l2, d_h = (
+        np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (y[:-1] + y[1:]))))
+        for y in (hasq, hasq + hhsq)
+    )
+    return NormSeries(t, l2, h_alpha, h_crit_hom, np.sqrt(l2sq + hcsq), h_high, d_l2, d_h)
+
+
 def simulate(theta0, cfg):
     """Advance theta0 to cfg.t_end, sampling norms every ``output_every`` steps.
 
@@ -357,7 +366,11 @@ def simulate(theta0, cfg):
     its initial value.
 
     The state advances on the rfft2 half spectrum, which is also what the
-    snapshots and the final field store.  With
+    snapshots and the final field store.  Each pass of the loop first takes
+    the sample, if one is due (step 0 and the last step always are): the
+    squared norms, the pairing, the snapshot and the ceiling check.  Then it
+    takes one step.  The series' D_L2 and D_H are cumulative trapezoids over
+    the sampled squared norms, summed in sample order.  With
     ``track_cancellation`` the tendency evaluated for the pairing at a
     sample is reused as the first RK4 stage of the next step.
     """
@@ -374,82 +387,45 @@ def simulate(theta0, cfg):
     if cfg.track_cancellation:
         orders += (1.0,)
 
-    times = []
-    norm_rows = []
-    d_l2_list = []
-    d_h_list = []
+    times, rows, snapshot_times, snapshots = [], [], [], []
     cancel = [] if cfg.track_cancellation else None
-    snapshot_times = []
-    snapshots = []
-
-    d_l2 = 0.0
-    d_h = 0.0
-    sample_index = 0
-    next_k1 = None  # (tendency, max|u|) at the current state, if already known
-
-    def record_sample(t_now, coeffs_now):
-        nonlocal d_l2, d_h, sample_index, next_k1
-        l2sq, hasq, hcsq, hhsq, *h1 = _sq_norms(lat, coeffs_now, orders).tolist()
-        if times:
-            dt_s = t_now - times[-1]
-            prev = norm_rows[-1]
-            d_l2 += 0.5 * dt_s * (prev[1] + hasq)
-            d_h += 0.5 * dt_s * ((prev[1] + prev[3]) + (hasq + hhsq))
-        times.append(t_now)
-        norm_rows.append((l2sq, hasq, hcsq, hhsq))
-        d_l2_list.append(d_l2)
-        d_h_list.append(d_h)
-        if cancel is not None:
-            # advection pairing normalized by ||theta||_{L2} ||theta||_{H1}^2;
-            # zero to round-off when dealiasing is exact
-            next_k1 = stepper.tendency(coeffs_now, True)
-            tend = next_k1[0]
-            if tend is None or l2sq == 0.0:
-                cancel.append(0.0)
-            else:
-                pairing = abs(float(_half_pairings(lat, tend, coeffs_now, 0.0)))
-                cancel.append(pairing / (math.sqrt(l2sq) * (l2sq + h1[0])))
-        if cfg.snapshot_every and sample_index % cfg.snapshot_every == 0:
-            snapshot_times.append(t_now)
-            snapshots.append(_from_half(lat, coeffs_now))
-        sample_index += 1
-        return math.sqrt(l2sq + hcsq)
-
-    h_init = record_sample(0.0, coeffs)
-    ceiling = cfg.blowup_factor * max(h_init, np.finfo(float).tiny)
-
-    def build_record(aborted=False, reason=""):
-        rows = np.asarray(norm_rows)
-        series = NormSeries(
-            times=np.asarray(times),
-            l2=np.sqrt(rows[:, 0]),
-            h_alpha=np.sqrt(rows[:, 1]),
-            h_crit_hom=np.sqrt(rows[:, 2]),
-            h_crit=np.sqrt(rows[:, 0] + rows[:, 2]),
-            h_high=np.sqrt(rows[:, 3]),
-            d_l2=np.asarray(d_l2_list),
-            d_h=np.asarray(d_h_list),
-        )
-        return TrajectoryRecord(
-            config=replace(cfg),
-            series=series,
-            snapshot_times=snapshot_times,
-            snapshots=snapshots,
-            initial=theta.copy(),
-            final=_from_half(lat, coeffs),
-            cancellation=None if cancel is None else np.asarray(cancel),
-            aborted=aborted,
-            abort_reason=reason,
-        )
-
     t = 0.0
     step_index = 0
+    k1 = None  # (tendency, max|u|) at the current state, once evaluated
+    abort = None  # (reason, message) of a run that left the bounded regime
     horizon = cfg.t_end * (1.0 - 1e-12)
-    while t < horizon:
-        if next_k1 is None:
-            k1, umax = stepper.tendency(coeffs, True)
-        else:
-            (k1, umax), next_k1 = next_k1, None
+    while True:
+        last = t >= horizon
+        if step_index % cfg.output_every == 0 or last:
+            sq = _sq_norms(lat, coeffs, orders).tolist()
+            if cancel is not None:
+                # advection pairing normalized by ||theta||_{L2} ||theta||_{H1}^2;
+                # zero to round-off when dealiasing is exact
+                k1 = stepper.tendency(coeffs, True)
+                if k1[0] is None or sq[0] == 0.0:
+                    cancel.append(0.0)
+                else:
+                    pairing = abs(float(_half_pairings(lat, k1[0], coeffs, 0.0)))
+                    cancel.append(pairing / (math.sqrt(sq[0]) * (sq[0] + sq[4])))
+            if cfg.snapshot_every and (len(times) % cfg.snapshot_every == 0 or last):
+                snapshot_times.append(t)
+                snapshots.append(_from_half(lat, coeffs))
+            times.append(t)
+            rows.append(sq[:4])
+            h_now = math.sqrt(sq[0] + sq[2])
+            if step_index == 0:
+                ceiling = cfg.blowup_factor * max(h_now, np.finfo(float).tiny)
+            elif h_now > ceiling:
+                abort = (
+                    "norm ceiling exceeded",
+                    f"suspected blow-up: critical norm {h_now:g} exceeded "
+                    f"{cfg.blowup_factor:g} x initial at t={t:g}",
+                )
+                break
+        if last:
+            break
+
+        tend, umax = stepper.tendency(coeffs, True) if k1 is None else k1
         dt_now = min(cfg.dt, cfg.t_end - t)
         if cfg.nonlinear and umax > 0.0:
             bound = cfg.cfl * lat.spacing / umax
@@ -466,27 +442,28 @@ def simulate(theta0, cfg):
                 f"steps of {dt_now:g} from t={t:g} need more than {MAX_STEPS} "
                 f"steps in all to reach t_end={cfg.t_end:g}"
             )
-        coeffs = stepper.advance(coeffs, dt_now, k1)
+        coeffs = stepper.advance(coeffs, dt_now, tend)
+        k1 = None
         t += dt_now
         step_index += 1
         if not np.isfinite(coeffs).all():
-            raise BlowupError(
-                f"non-finite coefficients at t={t:g}", build_record(True, "non-finite")
-            )
-        if step_index % cfg.output_every == 0 or t >= horizon:
-            h_now = record_sample(t, coeffs)
-            if h_now > ceiling:
-                record = build_record(True, "norm ceiling exceeded")
-                raise BlowupError(
-                    f"suspected blow-up: critical norm {h_now:g} exceeded "
-                    f"{cfg.blowup_factor:g} x initial at t={t:g}",
-                    record,
-                )
+            abort = ("non-finite", f"non-finite coefficients at t={t:g}")
+            break
 
-    if cfg.snapshot_every and snapshot_times and snapshot_times[-1] < times[-1]:
-        snapshot_times.append(times[-1])
-        snapshots.append(_from_half(lat, coeffs))
-    return build_record()
+    record = TrajectoryRecord(
+        config=replace(cfg),
+        series=_norm_series(times, rows),
+        snapshot_times=snapshot_times,
+        snapshots=snapshots,
+        initial=theta.copy(),
+        final=_from_half(lat, coeffs),
+        cancellation=None if cancel is None else np.asarray(cancel),
+        aborted=abort is not None,
+        abort_reason=abort[0] if abort else "",
+    )
+    if abort:
+        raise BlowupError(abort[1], record)
+    return record
 
 
 @dataclass

@@ -571,6 +571,53 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match="form|sigma"):
             estimate_constant(spec, which, params)
 
+    @pytest.mark.parametrize(
+        "which,params,key",
+        [
+            ("2.3-trilinear", {"alpha": ALPHA, "sigmas": [5.0]}, "sigmas"),
+            ("2.4-bilinear", {"alpha": ALPHA, "include_self": False}, "include_self"),
+            ("2.2-productlaw", {"s1": ALPHA, "alpha": ALPHA}, "alpha"),
+            ("elementary", {"grid": 51}, "grid"),
+            ("2.5-expkernel", {"mag_range": (0.0, 1.0)}, "mag_range"),
+            ("cauchy-advection", {"alpha": ALPHA, "form": "2.6"}, "form"),
+        ],
+    )
+    def test_an_unread_parameter_is_rejected_before_any_draw(
+        self, lat, monkeypatch, which, params, key
+    ):
+        # a typo such as sigmas for sigma used to run the defaults and echo
+        # the key in the report as if it had been applied
+        def no_draws(*args):
+            raise AssertionError("drew a sample for an unread parameter")
+
+        for name in ("_draw", "_elementary_draws", "_exp_kernel_draws"):
+            monkeypatch.setattr(sqglab.lemmas, name, no_draws)
+        spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
+        with pytest.raises(ValueError, match=repr(key)):
+            estimate_constant(spec, which, params)
+
+    def test_every_read_parameter_is_accepted(self, lat):
+        spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
+        for which, params in [
+            ("elementary", {"mag_range": (0.0, 1.0), "sigma_range": (1.0, 2.0)}),
+            ("2.5-expkernel", {"grid": 5, "sigma_range": (0.1, 1.0), "t_range": (0.1, 1.0)}),
+            ("2.1-productlaw-two-term", {"s1": ALPHA, "s2": ALPHA}),
+            ("2.2-productlaw", {"s1": ALPHA, "s2": ALPHA}),
+            ("2.3-trilinear", {"alpha": ALPHA, "sigma": 1.0}),
+            ("2.4-bilinear", {"alpha": ALPHA, "form": "2.6"}),
+            ("cauchy-advection", {"alpha": ALPHA}),
+        ]:
+            assert estimate_constant(spec, which, params).params == params
+
+    def test_elementary_counts_a_non_finite_side_as_a_violation(self):
+        # magnitudes near the float range overflow a^s; those samples used
+        # to be skipped, leaving 0 violations and a NaN max_ratio
+        spec = EnsembleSpec(count=1000, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = estimate_constant(spec, "elementary", {"mag_range": (0.0, 1e308)})
+        assert report.violations > 0 and not report.passed
+        assert math.isfinite(report.max_ratio)
+
     @pytest.mark.parametrize("form", ["2.5", "2.6", "both"])
     def test_each_bilinear_form_tallies_its_samples(self, lat, form):
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)

@@ -356,6 +356,70 @@ class TestHalfSpectrumKernelPath:
         assert record.cancellation.max() <= 1e-15
 
 
+class TestSampleBlock:
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_integrals_are_a_running_trapezoid_over_the_sampled_squares(
+        self, monkeypatch, tracked
+    ):
+        # CFL-bound steps, a sample every third step and a last step cut to
+        # t_end, so the sample grid is irregular
+        import sqglab.solver
+
+        squares = []
+        sq_norms = sqglab.solver._sq_norms
+
+        def captured(*args):
+            out = sq_norms(*args)
+            squares.append(out.tolist())
+            return out
+
+        monkeypatch.setattr(sqglab.solver, "_sq_norms", captured)
+        cfg = small_config(
+            init_norm=200.0, t_end=0.37, output_every=3, track_cancellation=tracked
+        )
+        series = simulate(initial_field(cfg), cfg).series
+        t = series.times.tolist()
+        assert np.unique(np.diff(t)).size > 10 and t[-1] == pytest.approx(cfg.t_end)
+        assert len(squares) == len(t)
+        d_l2, d_h = [0.0], [0.0]
+        for i in range(1, len(t)):
+            (_, a0, _, h0, *_), (_, a1, _, h1, *_) = squares[i - 1], squares[i]
+            d_l2.append(d_l2[-1] + 0.5 * (t[i] - t[i - 1]) * (a0 + a1))
+            d_h.append(d_h[-1] + 0.5 * (t[i] - t[i - 1]) * ((a0 + h0) + (a1 + h1)))
+        assert series.d_l2.tolist() == d_l2
+        assert series.d_h.tolist() == d_h
+        assert series.h_crit.tolist() == [math.sqrt(sq[0] + sq[2]) for sq in squares]
+
+    def test_ceiling_abort_keeps_the_first_samples_of_a_longer_run(self):
+        # the advective instability of a huge step trips a low ceiling at
+        # the fifth sample; a high one lets the run go on
+        def run(blowup_factor):
+            cfg = small_config(
+                init_norm=50.0,
+                t_end=4.0,
+                dt=0.06,
+                cfl=1e9,
+                snapshot_every=2,
+                track_cancellation=True,
+                blowup_factor=blowup_factor,
+            )
+            with pytest.raises(BlowupError) as err:
+                simulate(initial_field(cfg), cfg)
+            return err.value.record
+
+        partial, longer = run(2.0), run(1e6)
+        k, m = len(partial.series), len(partial.snapshots)
+        assert partial.abort_reason == "norm ceiling exceeded"
+        assert 3 <= k < len(longer.series) and m < len(longer.snapshots)
+        for mine, theirs in zip(partial.series.columns(), longer.series.columns()):
+            assert np.array_equal(mine, theirs[:k])
+        assert np.array_equal(partial.cancellation, longer.cancellation[:k])
+        assert partial.snapshot_times == longer.snapshot_times[:m]
+        assert longer.snapshot_times[m] > partial.times[-1]
+        for mine, theirs in zip(partial.snapshots, longer.snapshots):
+            assert np.array_equal(mine.coeffs, theirs.coeffs)
+
+
 class TestEnergyLedger:
     def test_zero_trajectory_has_zero_slack(self):
         cfg = small_config()
