@@ -35,7 +35,6 @@ from .lemmas import _SAMPLES, _SPEC_RULES, LEMMA_IDS, EnsembleSpec, estimate_con
 from .solver import (
     _CONFIG_RULES,
     BlowupError,
-    CflError,
     SolverConfig,
     blowup_monitor,
     energy_ledger,
@@ -129,17 +128,23 @@ def _split_config(data):
     return solver_kwargs, {k: v for k, v in data.items() if k in _CHECK_RULES}
 
 
-def load_config(path, overrides=()):
-    """Read the flat JSON config, apply overrides, split solver/check keys."""
+def _read_json_object(path, what):
+    """The JSON object in the file at ``path``; ``what`` names the file in a usage error."""
     try:
         with open(path) as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON, or bytes that are not text
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise UsageError("config must be a JSON object")
+        raise UsageError(f"{what} must be a JSON object")
+    return data
+
+
+def load_config(path, overrides=()):
+    """Read the flat JSON config, apply overrides, split solver/check keys."""
+    data = _read_json_object(path, "config")
     for text in overrides:
         key, value = _parse_override(text)
         data[key] = value
@@ -194,12 +199,10 @@ def cmd_simulate(args):
 
     try:
         record = simulate(theta0, cfg)
-    except (CflError, BlowupError) as exc:
+    except BlowupError as exc:  # a CflError too; each keeps the partial record
         print(f"instability: {exc}", file=sys.stderr)
         manifest.verdicts["stable"] = False
-        partial = getattr(exc, "record", None)  # only a blow-up keeps one
-        if partial is not None:
-            _write_run_outputs(outdir, partial, manifest)
+        _write_run_outputs(outdir, exc.record, manifest)
         _write_manifest(manifest, outdir)
         return EXIT_INSTABILITY
 
@@ -302,7 +305,7 @@ def cmd_decay(args):
         manifest.verdicts["gate"] = False
         _write_manifest(manifest, outdir)
         return EXIT_GATE
-    except (BlowupError, CflError) as exc:
+    except BlowupError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         manifest.verdicts["stable"] = False
         _write_manifest(manifest, outdir)
@@ -367,13 +370,9 @@ _SWEEP_AXES = ("alpha", "init_norm_rel", "init_norm", "n", "seed")
 
 
 def cmd_sweep(args):
-    try:
-        with open(args.spec) as handle:
-            spec = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read sweep spec: {exc}") from exc
-    if not isinstance(spec, dict) or not isinstance(spec.get("base"), dict):
-        raise UsageError("sweep spec must be an object with a 'base' config object")
+    spec = _read_json_object(args.spec, "sweep spec")
+    if not isinstance(spec.get("base"), dict):
+        raise UsageError("sweep spec must have a 'base' config object")
     base, base_checks = _split_config(spec["base"])
     grid = spec.get("grid", {})
     if not isinstance(grid, dict):

@@ -95,10 +95,11 @@ MIN_SAMPLES = 10  # smallest ensemble estimate_constant accepts
 _SAMPLES = ("whole", MIN_SAMPLES)  # the rule row of its sample count
 
 # batch sizes of the scalar ensembles; they bound the working memory and
-# change no reported number.  A slice of 16,384 doubles is 128 KB and a block
-# of 256 profiles on the default 201-point grid 400 KB, so one batch with its
-# temporaries stays near the size of a typical per-core L2 cache (1-2 MB)
-_ELEMENTARY_CHUNK = 16_384
+# change no reported number.  A slice of 8,192 doubles is 64 KiB, under
+# glibc's default 128 KiB mmap threshold, so the next slice reuses its heap
+# buffers instead of faulting in freshly mapped pages.  A block of 256 profiles
+# on the default 201-point grid is 400 KB, near a per-core L2 cache (1-2 MB)
+_ELEMENTARY_CHUNK = 8_192
 _EXP_KERNEL_BLOCK = 256
 
 # An exp-kernel row draws its segment count with integers(1, 12): numpy's
@@ -272,18 +273,18 @@ def check_trilinear(theta, sigma, alpha):
     return pairs[0] if scalar else pairs
 
 
-def _bilinear_core(lat, pair, alpha, include_self=True):
+def _bilinear_core(lat, pair, alpha):
     """Bilinear ratio pairs from the half spectra ``pair`` = (omega, theta).
 
-    The advection terms of (omega, theta) and, with ``include_self``,
-    (theta, theta) come from one kernel call sharing grad(theta); the norms
-    of omega and theta are taken once each.  Returns one (first, second)
-    per pair, as in check_bilinear.
+    The advection terms of (omega, theta) and (theta, theta) come from one
+    kernel call sharing grad(theta); the norms of omega and theta are taken
+    once each.  Returns one (first, second) per pair, as in check_bilinear,
+    which keeps the first.
     """
     _checked("alpha", alpha, *_ALPHA)
     s = 2.0 - 2.0 * alpha
     theta = pair[1]
-    terms, _ = _advection_coeffs(lat, pair if include_self else pair[:1], theta)
+    terms, _ = _advection_coeffs(lat, pair, theta)
     lhs = np.abs(_half_pairings(lat, terms, theta, s, homogeneous=False)).tolist()
     crit, high = np.sqrt(_sq_norms(lat, pair, (s, 2.0 - alpha))).tolist()
     th_crit, th_high = crit[1], high[1]
@@ -307,7 +308,7 @@ def check_bilinear(omega, theta, alpha):
     if not omega.lattice.compatible(theta.lattice):
         raise ValueError("fields live on different lattices")
     pair = np.stack((omega.half, theta.half))
-    return _bilinear_core(omega.lattice, pair, alpha, include_self=False)[0]
+    return _bilinear_core(omega.lattice, pair, alpha)[0]
 
 
 def check_exp_kernel(h, sigma, t_end):
@@ -558,12 +559,7 @@ def estimate_constant(spec, which, params=None):
         lo, hi = params.get("mag_range", (0.0, 10.0))
         s_lo, s_hi = params.get("sigma_range", (1.0, 2.0))
         for a_part, c_part, s_part in _elementary_draws(spec, lo, hi, s_lo, s_hi):
-            # lhs and rhs stay bound until the next slice replaces them: with
-            # every buffer of a slice freed at once, glibc's malloc gave the
-            # pages back and the next slice faulted them in again (17,632
-            # minor faults per 2,000,000 samples, against 2,592)
-            lhs, rhs = check_elementary(a_part, c_part, s_part)
-            tally.add_explicit(lhs, rhs, 1e-12)
+            tally.add_explicit(*check_elementary(a_part, c_part, s_part), 1e-12)
 
     elif which == "2.5-expkernel":
         grid = _checked("grid", params.get("grid", 201), "whole", 2)

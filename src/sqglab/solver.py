@@ -56,9 +56,9 @@ __all__ = [
 SERIES_COLUMNS = ("t", "L2", "Ha", "H2m2a_hom", "H2m2a", "H2ma", "D_L2", "D_H")
 
 # Largest step count a run may take: 2500 times the 4000 steps of the
-# acceptance run.  A dt such as 1e-300 is finite and positive but asks for a
-# run that would never finish, so SolverConfig caps ceil(t_end / dt); a
-# CFL-shortened step has no floor, so simulate also raises CflError once the
+# acceptance run.  SolverConfig caps ceil(t_end / dt), since a dt such as
+# 1e-300 asks for a run that would never finish; a CFL-shortened step has no
+# floor, so simulate stops with CflError and the partial record once the
 # steps taken plus those left at the current step exceed the cap.
 MAX_STEPS = 10**7
 
@@ -71,8 +71,8 @@ class BlowupError(RuntimeError):
         self.record = record
 
 
-class CflError(RuntimeError):
-    """Raised when the requested time step violates the advective CFL bound."""
+class CflError(BlowupError):
+    """A CFL violation without ``auto_dt``, or steps past MAX_STEPS; carries the partial record."""
 
 
 # The rule rows of one init_modes entry [j1, j2, amplitude, phase].
@@ -128,7 +128,7 @@ class SolverConfig:
     dt, t_end
         requested step and horizon; the step is shrunk per the CFL rule
         dt <= cfl * dx / max|u| when ``auto_dt`` is set, otherwise a
-        violation raises :class:`CflError`.
+        violation raises :class:`CflError` with the partial record.
     output_every
         steps between norm samples (dissipation integrals accumulate on the
         sample grid by the trapezoid rule).
@@ -361,9 +361,11 @@ def simulate(theta0, cfg):
 
     For nonlinear runs the initial field is dealiased first, which keeps the
     quadratic term alias-free along the whole trajectory.  The run aborts
-    with :class:`BlowupError` (carrying the partial record) if coefficients
-    stop being finite or the critical norm exceeds ``blowup_factor`` times
-    its initial value.
+    with :class:`BlowupError` if coefficients stop being finite or the
+    critical norm exceeds ``blowup_factor`` times its initial value, and
+    with its subclass :class:`CflError` on a CFL violation without
+    ``auto_dt`` or steps past :data:`MAX_STEPS`.  Each abort breaks the
+    loop and raises with the partial record built after it.
 
     The state advances on the rfft2 half spectrum, which is also what the
     snapshots and the final field store.  Each pass of the loop first takes
@@ -392,7 +394,7 @@ def simulate(theta0, cfg):
     t = 0.0
     step_index = 0
     k1 = None  # (tendency, max|u|) at the current state, once evaluated
-    abort = None  # (reason, message) of a run that left the bounded regime
+    abort = None  # (exception class, reason, message) of a run that stops early
     horizon = cfg.t_end * (1.0 - 1e-12)
     while True:
         last = t >= horizon
@@ -416,11 +418,11 @@ def simulate(theta0, cfg):
             if step_index == 0:
                 ceiling = cfg.blowup_factor * max(h_now, np.finfo(float).tiny)
             elif h_now > ceiling:
-                abort = (
-                    "norm ceiling exceeded",
+                msg = (
                     f"suspected blow-up: critical norm {h_now:g} exceeded "
-                    f"{cfg.blowup_factor:g} x initial at t={t:g}",
+                    f"{cfg.blowup_factor:g} x initial at t={t:g}"
                 )
+                abort = (BlowupError, "norm ceiling exceeded", msg)
                 break
         if last:
             break
@@ -431,23 +433,25 @@ def simulate(theta0, cfg):
             bound = cfg.cfl * lat.spacing / umax
             if dt_now > bound:
                 if not cfg.auto_dt:
-                    raise CflError(
-                        f"dt={dt_now:g} exceeds the CFL bound {bound:g} at t={t:g}"
-                    )
+                    msg = f"dt={dt_now:g} exceeds the CFL bound {bound:g} at t={t:g}"
+                    abort = (CflError, "CFL bound exceeded", msg)
+                    break
                 dt_now = bound
         # step_index + (t_end - t) / dt_now > MAX_STEPS, without dividing by
         # a step that an infinite max|u| shortens to zero
         if dt_now * (MAX_STEPS - step_index) < cfg.t_end - t:
-            raise CflError(
+            msg = (
                 f"steps of {dt_now:g} from t={t:g} need more than {MAX_STEPS} "
                 f"steps in all to reach t_end={cfg.t_end:g}"
             )
+            abort = (CflError, "step cap exceeded", msg)
+            break
         coeffs = stepper.advance(coeffs, dt_now, tend)
         k1 = None
         t += dt_now
         step_index += 1
         if not np.isfinite(coeffs).all():
-            abort = ("non-finite", f"non-finite coefficients at t={t:g}")
+            abort = (BlowupError, "non-finite", f"non-finite coefficients at t={t:g}")
             break
 
     record = TrajectoryRecord(
@@ -459,10 +463,11 @@ def simulate(theta0, cfg):
         final=_from_half(lat, coeffs),
         cancellation=None if cancel is None else np.asarray(cancel),
         aborted=abort is not None,
-        abort_reason=abort[0] if abort else "",
+        abort_reason=abort[1] if abort else "",
     )
     if abort:
-        raise BlowupError(abort[1], record)
+        error, _, message = abort
+        raise error(message, record)
     return record
 
 

@@ -47,6 +47,11 @@ def failure_manifest(out):
     return manifest["verdicts"], [os.path.basename(p) for p in manifest["outputs"]]
 
 
+def last_series_time(out):
+    """The last sample time in a run's series.csv."""
+    return float((out / "series.csv").read_text().splitlines()[-1].split(",")[0])
+
+
 class TestSimulateCommand:
     def test_small_run_exits_zero_and_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "run.json", snapshot_every=5)
@@ -117,8 +122,10 @@ class TestSimulateCommand:
             t_end=2.0,
             auto_dt=False,
         )
-        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INSTABILITY
-        assert failure_manifest(tmp_path / "o") == ({"stable": False}, ["manifest.json"])
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
+        assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
+        assert last_series_time(out) < 2.0
 
     def test_command_line_override(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
@@ -617,7 +624,8 @@ class TestCountsAndStepCaps:
         )
         assert proc.returncode == EXIT_INSTABILITY, proc.stderr
         assert "instability:" in proc.stderr and "Traceback" not in proc.stderr
-        assert failure_manifest(out) == ({"stable": False}, ["manifest.json"])
+        assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
+        assert last_series_time(out) < BASE_CONFIG["t_end"]
 
 
 REAL_KEYS = (
@@ -697,6 +705,17 @@ class TestRuleTable:
     def test_bad_sweep_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(spec))
+        out = tmp_path / "s.csv"
+        assert_rejected(main(["sweep", str(path), "--out", str(out)]), capsys, out)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"base": ', json.dumps([{"base": BASE_CONFIG}]).encode(), b"\xff\xfe{"],
+        ids=["invalid-json", "json-list", "not-text"],
+    )
+    def test_sweep_spec_that_is_not_a_json_object(self, tmp_path, capsys, data):
+        path = tmp_path / "sweep.json"
+        path.write_bytes(data)
         out = tmp_path / "s.csv"
         assert_rejected(main(["sweep", str(path), "--out", str(out)]), capsys, out)
 

@@ -240,6 +240,30 @@ class TestSimulate:
         with pytest.raises(CflError):
             simulate(initial_field(cfg), cfg)
 
+    def test_cfl_abort_carries_the_partial_record(self):
+        # dt 0.06 meets the bound until the advective growth tightens it at
+        # t = 0.3; with the bound out of reach (cfl 1e9) the same steps go on
+        # to t = 0.48, where the blown-up velocity violates even that bound
+        def run(cfl):
+            cfg = small_config(
+                init_norm=50.0, dt=0.06, t_end=4.0, cfl=cfl, auto_dt=False, blowup_factor=1e300
+            )
+            with pytest.raises(CflError) as err:
+                simulate(initial_field(cfg), cfg)
+            assert isinstance(err.value, BlowupError)
+            record = err.value.record
+            assert record.aborted and record.abort_reason == "CFL bound exceeded"
+            assert f"at t={record.times[-1]:g}" in str(err.value)
+            return record
+
+        partial, longer = run(3.0), run(1e9)
+        k = len(partial.series)
+        assert partial.times[-1] == pytest.approx(0.3) and k == 6
+        assert longer.times[-1] == pytest.approx(0.48) and len(longer.series) == 9
+        for mine, theirs in zip(partial.series.columns(), longer.series.columns()):
+            assert np.array_equal(mine, theirs[:k])
+        assert np.all(np.isfinite(partial.series.d_h))
+
     def test_auto_dt_shrinks_the_step_instead(self):
         cfg = small_config(init_norm=5.0, dt=0.5, t_end=0.5, auto_dt=True)
         record = simulate(initial_field(cfg), cfg)
@@ -549,6 +573,31 @@ class TestStepCap:
         monkeypatch.setattr(sqglab.solver, "MAX_STEPS", taken)
         with pytest.raises(CflError):
             simulate(initial_field(cfg), cfg)
+
+    def test_cap_abort_keeps_the_first_samples_of_the_uncapped_run(self, monkeypatch):
+        import sqglab.solver
+
+        # CFL-shortened steps from t = 0.3 on: a cap of the steps the whole
+        # run takes trips there, where the shortened step first projects more
+        cfg = small_config(
+            init_norm=50.0, dt=0.06, t_end=1.0, cfl=3.0, snapshot_every=2, track_cancellation=True
+        )
+        full = simulate(initial_field(cfg), cfg)
+        taken = len(full.times) - 1
+        monkeypatch.setattr(sqglab.solver, "MAX_STEPS", taken)
+        with pytest.raises(CflError) as err:
+            simulate(initial_field(cfg), cfg)
+        partial = err.value.record
+        assert partial.aborted and partial.abort_reason == "step cap exceeded"
+        k, m = len(partial.series), len(partial.snapshots)
+        assert 3 <= k < len(full.series) and 2 <= m < len(full.snapshots)
+        assert np.array_equal(partial.times, full.times[:k])
+        for mine, theirs in zip(partial.series.columns(), full.series.columns()):
+            assert np.array_equal(mine, theirs[:k])
+        assert np.array_equal(partial.cancellation, full.cancellation[:k])
+        assert np.array_equal(partial.snapshot_times, full.snapshot_times[:m])
+        for mine, theirs in zip(partial.snapshots, full.snapshots):
+            assert np.array_equal(mine.coeffs, theirs.coeffs)
 
 
 REAL_CONFIG_FIELDS = (
