@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .decay import GateError, decay_experiment
-from .lemmas import _SAMPLES, _SPEC_RULES, LEMMA_IDS, EnsembleSpec, estimate_constant
+from .lemmas import _SAMPLES, _SHAPES, _SPEC_RULES, LEMMA_IDS, EnsembleSpec, estimate_constant
 from .solver import (
     _CONFIG_RULES,
     BlowupError,
@@ -83,7 +83,7 @@ class CheckOptions:
 
 @dataclass
 class RunManifest:
-    """Reproducibility envelope written next to every run's artifacts."""
+    """Reproducibility envelope written next to the artifacts of ``simulate`` and ``decay``."""
 
     config: dict
     version: str = __version__
@@ -225,24 +225,15 @@ def cmd_simulate(args):
     return EXIT_OK if ledger.passed else EXIT_CHECK_FAILED
 
 
-_FIELD_LEMMAS = ("2.1-productlaw-two-term", "2.2-productlaw", "2.3-trilinear", "2.4-bilinear")
-_DEFAULT_SAMPLES = {
-    "elementary": 1_000_000,
-    "2.5-expkernel": 10_000,
-}
-
-
 def cmd_verify(args):
-    ids = args.lemmas
+    ids, choices = args.lemmas, "choose from " + ", ".join(LEMMA_IDS)
     if not ids:
-        raise UsageError("no lemma ids given; choose from " + ", ".join(LEMMA_IDS))
+        raise UsageError("no lemma ids given; " + choices)
     if "all" in ids:
         ids = list(LEMMA_IDS)
     for lemma_id in ids:
         if lemma_id not in LEMMA_IDS:
-            raise UsageError(
-                f"unknown lemma id {lemma_id!r}; choose from " + ", ".join(LEMMA_IDS)
-            )
+            raise UsageError(f"unknown lemma id {lemma_id!r}; {choices}")
     try:
         lattice = make_lattice(args.n, 2.0 * math.pi)
     except ValueError as exc:
@@ -252,21 +243,14 @@ def cmd_verify(args):
 
     all_ok = True
     for lemma_id in ids:
-        count = args.samples
-        if count is None:
-            count = _DEFAULT_SAMPLES.get(lemma_id, 200)
-        params = {}
-        if lemma_id in ("2.1-productlaw-two-term", "2.2-productlaw"):
-            params = {"s1": 1.0 - 2.0 * args.alpha, "s2": args.alpha}
-        elif lemma_id in ("2.3-trilinear", "2.4-bilinear"):
-            params = {"alpha": args.alpha}
+        shape = _SHAPES[lemma_id]
         spec = EnsembleSpec(
-            count=count,
+            count=shape.samples if args.samples is None else args.samples,
             generator=args.generator,
             seed=args.seed,
-            lattice=lattice if lemma_id in _FIELD_LEMMAS else None,
+            lattice=lattice if shape.fields else None,
         )
-        report = estimate_constant(spec, lemma_id, params)
+        report = estimate_constant(spec, lemma_id, shape.at_alpha(args.alpha))
         path = os.path.join(outdir, f"lemma_{lemma_id.replace('.', '_')}.json")
         _write_json(path, report.to_json_dict())
         status = "ok" if report.passed else "VIOLATED"

@@ -34,6 +34,7 @@ it once.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,28 +69,31 @@ __all__ = [
     "default_smallness_threshold",
 ]
 
-LEMMA_IDS = (
-    "elementary",
-    "2.1-productlaw-two-term",
-    "2.2-productlaw",
-    "2.3-trilinear",
-    "2.4-bilinear",
-    "2.5-expkernel",
-)
 
-# internal shapes reachable through estimate_constant but not the CLI
-_EXTRA_IDS = ("cauchy-advection",)
-
-# the params keys each shape reads; estimate_constant rejects any other key
-_PARAM_KEYS = {
-    "elementary": ("mag_range", "sigma_range"),
-    "2.1-productlaw-two-term": ("s1", "s2"),
-    "2.2-productlaw": ("s1", "s2"),
-    "2.3-trilinear": ("alpha", "sigma"),
-    "2.4-bilinear": ("alpha", "form"),
-    "2.5-expkernel": ("grid", "sigma_range", "t_range"),
-    "cauchy-advection": ("alpha",),
+# One row per lemma shape: every params key it reads, with its default;
+# whether it draws fields, and so needs EnsembleSpec.lattice; and, for a shape
+# sqglab verify offers, the params it passes at --alpha, as a function of
+# alpha, and its default sample count.
+_Shape = namedtuple("_Shape", "defaults fields at_alpha samples", defaults=(None, 200))
+_PRODUCT_LAW = _Shape({"s1": 0.25, "s2": 0.25}, True, lambda a: {"s1": 1.0 - 2.0 * a, "s2": a})
+_SHAPES = {
+    "elementary": _Shape(
+        {"mag_range": (0.0, 10.0), "sigma_range": (1.0, 2.0)}, False, lambda a: {}, 1_000_000
+    ),
+    "2.1-productlaw-two-term": _PRODUCT_LAW,
+    "2.2-productlaw": _PRODUCT_LAW,
+    # sigma None stands for the orders (1, 2 - 2 alpha)
+    "2.3-trilinear": _Shape({"alpha": 0.25, "sigma": None}, True, lambda a: {"alpha": a}),
+    "2.4-bilinear": _Shape({"alpha": 0.25, "form": "both"}, True, lambda a: {"alpha": a}),
+    "2.5-expkernel": _Shape(
+        {"grid": 201, "sigma_range": (0.05, 10.0), "t_range": (0.1, 5.0)}, False,
+        lambda a: {}, 10_000,
+    ),
+    "cauchy-advection": _Shape({"alpha": 0.25}, True),
 }
+
+# the shapes sqglab verify offers, in its order
+LEMMA_IDS = tuple(which for which, shape in _SHAPES.items() if shape.at_alpha is not None)
 
 MIN_SAMPLES = 10  # smallest ensemble estimate_constant accepts
 _SAMPLES = ("whole", MIN_SAMPLES)  # the rule row of its sample count
@@ -136,8 +140,9 @@ class LemmaReport:
 
     ``max_ratio`` is the largest LHS/RHS-without-constant observed and
     doubles as ``estimated_constant``; ``violations`` must be zero on pass.
-    Samples where both sides vanish identically are counted as degenerate
-    and excluded from the ratio.
+    Degenerate samples are counted apart and excluded from the ratio: for
+    the field shapes, those whose left side is 0, whatever the right side;
+    for ``elementary`` and ``2.5-expkernel``, those where both sides are 0.
     """
 
     lemma_id: str
@@ -203,10 +208,6 @@ def _product_law_core(lat, f, gs, s1, s2):
     formed in one kernel call that transforms ``f`` once.  Returns one
     (two_term_ratio, product_ratio) per partner, as in check_product_law.
     """
-    if not s1 < 1.0:
-        raise ValueError(f"need s1 < 1, got s1={s1}")
-    if not s1 + s2 > 0.0:
-        raise ValueError(f"need s1 + s2 > 0, got {s1 + s2}")
     products, _ = _quadratic_coeffs(lat, f[None, None], gs[:, None])
     (lhs,) = np.sqrt(_sq_norms(lat, products, (s1 + s2 - 1.0,))).tolist()
     stack = np.concatenate((f[None], gs))
@@ -219,6 +220,14 @@ def _product_law_core(lat, f, gs, s1, s2):
     return ratios
 
 
+def _check_product_orders(s1, s2):
+    """Raise ValueError unless s1 and s2 are finite, s1 < 1 and s1 + s2 > 0."""
+    _checked("s1", s1, "real", None, _Open(1.0))
+    _checked("s2", s2, "real")
+    if not s1 + s2 > 0.0:
+        raise ValueError(f"need s1 + s2 > 0, got {s1 + s2}")
+
+
 def check_product_law(f, g, s1, s2):
     """Ratios for the two product laws at order s1 + s2 - 1.
 
@@ -229,6 +238,7 @@ def check_product_law(f, g, s1, s2):
     so negative orders are well defined.
     """
     f._check(g)
+    _check_product_orders(s1, s2)
     return _product_law_core(f.lattice, f.half, g.half[None], s1, s2)[0]
 
 
@@ -237,10 +247,7 @@ def _trilinear_orders(sigma):
     sigmas = (sigma,) if np.isscalar(sigma) else tuple(sigma)
     if not sigmas:
         raise ValueError("sigma must list at least one order")
-    for s in sigmas:
-        if not s >= 1.0:
-            raise ValueError(f"need sigma >= 1, got {s}")
-    return sigmas
+    return tuple(_checked("sigma", s, "real", 1.0) for s in sigmas)
 
 
 def check_trilinear(theta, sigma, alpha):
@@ -281,7 +288,6 @@ def _bilinear_core(lat, pair, alpha):
     once each.  Returns one (first, second) per pair, as in check_bilinear,
     which keeps the first.
     """
-    _checked("alpha", alpha, *_ALPHA)
     s = 2.0 - 2.0 * alpha
     theta = pair[1]
     terms, _ = _advection_coeffs(lat, pair, theta)
@@ -307,6 +313,7 @@ def check_bilinear(omega, theta, alpha):
     """
     if not omega.lattice.compatible(theta.lattice):
         raise ValueError("fields live on different lattices")
+    _checked("alpha", alpha, *_ALPHA)
     pair = np.stack((omega.half, theta.half))
     return _bilinear_core(omega.lattice, pair, alpha)[0]
 
@@ -383,8 +390,6 @@ def _cauchy_advection_ratio(theta, alpha):
 
 
 def _draw(spec, rng):
-    if spec.lattice is None:
-        raise ValueError("lemma ensembles over fields need a lattice")
     if spec.generator == "multi_mode" and "modes" in spec.params:
         return multi_mode_field(spec.lattice, spec.params["modes"])
     return draw_field(spec.generator, spec.lattice, rng, spec.params)
@@ -490,10 +495,10 @@ def _uniform(lo, hi, unit):
     return lo + (hi - lo) * unit
 
 
-def _positive_range(name, pair):
-    """``pair`` = (lo, hi) as floats, checked: 0 < lo <= hi, both finite."""
+def _range(name, pair, low):
+    """``pair`` = (lo, hi) as floats, checked: both finite, low <= lo <= hi (lo > an _Open low)."""
     lo, hi = pair
-    lo = _checked(f"{name} low end", lo, "real", _Open(0.0))
+    lo = _checked(f"{name} low end", lo, "real", low)
     return float(lo), float(_checked(f"{name} high end", hi, "real", lo))
 
 
@@ -539,32 +544,39 @@ def estimate_constant(spec, which, params=None):
     """Run one lemma shape over the ensemble and report the constant estimate.
 
     ``which`` is one of LEMMA_IDS (plus the internal "cauchy-advection"
-    shape).  ``params`` may hold only the keys that shape reads, listed in
-    ``_PARAM_KEYS``; any other key raises ValueError before the first draw.
-    Deterministic for a fixed EnsembleSpec.seed.
+    shape).  ``params`` may hold only the keys that shape reads, listed with
+    their defaults in its ``_SHAPES`` row.  Any other key, a value out of its
+    range, or a field shape without ``spec.lattice`` raises ValueError
+    before the first draw.  Deterministic for a fixed EnsembleSpec.seed.
     """
-    if which not in LEMMA_IDS and which not in _EXTRA_IDS:
+    shape = _SHAPES.get(which) if isinstance(which, str) else None
+    if shape is None:
         raise ValueError(f"unknown lemma id {which!r}; choose from {LEMMA_IDS}")
     _checked("constant estimation samples", spec.count, *_SAMPLES)
     params = dict(params or {})
     for key in params:
-        if key not in _PARAM_KEYS[which]:
+        if key not in shape.defaults:
             raise ValueError(
-                f"{which} reads no parameter {key!r}; it reads " + ", ".join(_PARAM_KEYS[which])
+                f"{which} reads no parameter {key!r}; it reads " + ", ".join(shape.defaults)
             )
+    if shape.fields and spec.lattice is None:
+        raise ValueError(f"{which} draws fields and needs a lattice")
+    p = {**shape.defaults, **params}
+    if "alpha" in p:
+        _checked("alpha", p["alpha"], *_ALPHA)
     rng = np.random.default_rng(spec.seed)
     tally = _Tally()
 
     if which == "elementary":
-        lo, hi = params.get("mag_range", (0.0, 10.0))
-        s_lo, s_hi = params.get("sigma_range", (1.0, 2.0))
-        for a_part, c_part, s_part in _elementary_draws(spec, lo, hi, s_lo, s_hi):
+        mags = _range("mag_range", p["mag_range"], 0.0)
+        orders = _range("sigma_range", p["sigma_range"], 1.0)
+        for a_part, c_part, s_part in _elementary_draws(spec, *mags, *orders):
             tally.add_explicit(*check_elementary(a_part, c_part, s_part), 1e-12)
 
     elif which == "2.5-expkernel":
-        grid = _checked("grid", params.get("grid", 201), "whole", 2)
-        sigma_range = _positive_range("sigma_range", params.get("sigma_range", (0.05, 10.0)))
-        t_range = _positive_range("t_range", params.get("t_range", (0.1, 5.0)))
+        grid = _checked("grid", p["grid"], "whole", 2)
+        sigma_range = _range("sigma_range", p["sigma_range"], _Open(0.0))
+        t_range = _range("t_range", p["t_range"], _Open(0.0))
         for sigmas, t_ends, h in _exp_kernel_draws(rng, spec.count, grid, sigma_range, t_range):
             # one tolerance per row, each through Python's ** (libm pow)
             tols = [
@@ -574,8 +586,8 @@ def estimate_constant(spec, which, params=None):
             tally.add_explicit(*check_exp_kernel(h, sigmas, t_ends), tols)
 
     elif which in ("2.1-productlaw-two-term", "2.2-productlaw"):
-        s1 = params.get("s1", 0.25)
-        s2 = params.get("s2", 0.25)
+        s1, s2 = p["s1"], p["s2"]
+        _check_product_orders(s1, s2)
         want_product = which == "2.2-productlaw"
         for _ in range(spec.count):
             f, g = _draw(spec, rng).half, _draw(spec, rng).half
@@ -586,32 +598,27 @@ def estimate_constant(spec, which, params=None):
                 tally.add(product if want_product else two_term)
 
     elif which == "2.3-trilinear":
-        alpha = params.get("alpha", 0.25)
-        sigmas = params.get("sigma", (1.0, 2.0 - 2.0 * alpha))
-        if np.isscalar(sigmas):
-            sigmas = float(sigmas)
-        sigmas = _trilinear_orders(sigmas)
+        sigma = p["sigma"]
+        sigmas = _trilinear_orders((1.0, 2.0 - 2.0 * p["alpha"]) if sigma is None else sigma)
         for _ in range(spec.count):
             theta = _draw(spec, rng)
-            for lhs, rhs in check_trilinear(theta, sigmas, alpha):
+            for lhs, rhs in check_trilinear(theta, sigmas, p["alpha"]):
                 tally.add(_safe_ratio(lhs, rhs))
 
     elif which == "2.4-bilinear":
-        alpha = params.get("alpha", 0.25)
-        form = _checked("form", params.get("form", "both"), ("2.5", "2.6", "both"))
+        form = _checked("form", p["form"], ("2.5", "2.6", "both"))
         for _ in range(spec.count):
             omega, theta = _draw(spec, rng), _draw(spec, rng)
             pair = np.stack((omega.half, theta.half))
-            for first, second in _bilinear_core(spec.lattice, pair, alpha):
+            for first, second in _bilinear_core(spec.lattice, pair, p["alpha"]):
                 if form in ("2.5", "both"):
                     tally.add(first)
                 if form in ("2.6", "both"):
                     tally.add(second)
 
     else:  # cauchy-advection
-        alpha = params.get("alpha", 0.25)
         for _ in range(spec.count):
-            tally.add(_cauchy_advection_ratio(_draw(spec, rng), alpha))
+            tally.add(_cauchy_advection_ratio(_draw(spec, rng), p["alpha"]))
 
     lattice_n = spec.lattice.n if spec.lattice is not None else 0
     box_len = spec.lattice.box_len if spec.lattice is not None else 0.0

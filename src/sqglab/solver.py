@@ -331,11 +331,15 @@ def nonlinear_term(theta):
 
 
 def step(theta, cfg):
-    """Advance one step of cfg.dt (caller guarantees the CFL precondition)."""
+    """Advance one step of cfg.dt (caller guarantees the CFL precondition).
+
+    Raises FloatingPointError if the step leaves non-finite coefficients;
+    a single step has no run record, so it raises no BlowupError.
+    """
     stepper = _Stepper(theta.lattice, cfg.alpha, cfg.nonlinear, cfg.dt)
     out = stepper.advance(theta.half, cfg.dt)
     if not np.isfinite(out).all():
-        raise BlowupError("non-finite coefficients after one step", None)
+        raise FloatingPointError("non-finite coefficients after one step")
     return _from_half(theta.lattice, out)
 
 

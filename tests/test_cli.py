@@ -293,6 +293,26 @@ class TestVerifyCommand:
         name = "lemma_elementary.json"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    # the params and lattice size each offered shape's report shows at --alpha 0.3, --n 16
+    AT_ALPHA = {
+        "elementary": ({}, 0),
+        "2.1-productlaw-two-term": ({"s1": 1.0 - 2.0 * 0.3, "s2": 0.3}, 16),
+        "2.2-productlaw": ({"s1": 1.0 - 2.0 * 0.3, "s2": 0.3}, 16),
+        "2.3-trilinear": ({"alpha": 0.3}, 16),
+        "2.4-bilinear": ({"alpha": 0.3}, 16),
+        "2.5-expkernel": ({}, 0),
+    }
+
+    @pytest.mark.parametrize("lemma_id", sqglab.LEMMA_IDS)
+    def test_each_report_shows_its_rows_params_and_lattice(self, tmp_path, lemma_id):
+        out = tmp_path / "reports"
+        args = ["verify", lemma_id, "--samples", "10", "--n", "16", "--alpha", "0.3"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / f"lemma_{lemma_id.replace('.', '_')}.json").read_text())
+        params, n = self.AT_ALPHA[lemma_id]
+        assert payload["params"] == params == sqglab.lemmas._SHAPES[lemma_id].at_alpha(0.3)
+        assert payload["lattice"]["n"] == n
+
     def test_unknown_lemma_exits_usage(self, tmp_path):
         assert main(["verify", "lemma-9000", "--out", str(tmp_path)]) == EXIT_USAGE
 

@@ -22,7 +22,7 @@ from sqglab import (
 )
 import sqglab.lemmas
 from oracles import elementary_ensemble, exp_kernel_ensemble, exp_kernel_sides
-from sqglab.lemmas import _ELEMENTARY_CHUNK, _EXP_KERNEL_BLOCK, exp_kernel_tolerance
+from sqglab.lemmas import _ELEMENTARY_CHUNK, _EXP_KERNEL_BLOCK, LEMMA_IDS, exp_kernel_tolerance
 
 TWO_PI = 2.0 * np.pi
 ALPHA = 0.25
@@ -543,32 +543,48 @@ class TestEstimateConstant:
         with pytest.raises(ValueError):
             estimate_constant(spec, "2.3-trilinear", {"alpha": ALPHA})
 
-    def test_unknown_lemma_rejected(self, lat):
+    @pytest.mark.parametrize("which", ["99-bogus", ["2.3-trilinear"]])
+    def test_unknown_lemma_rejected(self, lat, which):
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
         with pytest.raises(ValueError):
-            estimate_constant(spec, "99-bogus", {})
+            estimate_constant(spec, which, {})
 
     @pytest.mark.parametrize(
-        "which,params",
+        "which,params,key",
         [
-            ("2.4-bilinear", {"form": "2.7"}),
-            ("2.4-bilinear", {"form": ["both"]}),
-            ("2.3-trilinear", {"sigma": []}),
-            ("2.3-trilinear", {"sigma": ()}),
-            ("2.3-trilinear", {"sigma": [1.0, 0.8]}),
+            ("2.4-bilinear", {"form": "2.7"}, "form"),
+            ("2.4-bilinear", {"form": ["both"]}, "form"),
+            ("2.3-trilinear", {"sigma": []}, "sigma"),
+            ("2.3-trilinear", {"sigma": ()}, "sigma"),
+            ("2.3-trilinear", {"sigma": [1.0, 0.8]}, "sigma"),
+            ("2.3-trilinear", {"sigma": "2"}, "sigma"),
+            ("cauchy-advection", {"alpha": 0.7}, "alpha"),
+            ("cauchy-advection", {"alpha": -3.0}, "alpha"),
+            ("cauchy-advection", {"alpha": "abc"}, "alpha"),
+            ("2.4-bilinear", {"alpha": 0.7}, "alpha"),
+            ("2.3-trilinear", {"alpha": 0.7}, "alpha"),
+            ("2.2-productlaw", {"s1": 1.5}, "s1"),
+            ("2.1-productlaw-two-term", {"s2": math.nan}, "s2"),
+            ("elementary", {"mag_range": (-1.0, 1.0)}, "mag_range"),
+            ("elementary", {"mag_range": (0.0, math.inf)}, "mag_range"),
+            ("elementary", {"sigma_range": (0.5, 2.0)}, "sigma_range"),
         ],
     )
     def test_a_bad_shape_parameter_is_rejected_before_any_draw(
-        self, lat, monkeypatch, which, params
+        self, lat, monkeypatch, which, params, key
     ):
         # without the check the bad form and the empty sigma ran, tallied no
-        # sample and passed; a sigma below 1 failed only after a draw
+        # sample and passed, and so did cauchy-advection at any alpha and the
+        # trilinear sigma "2"; a sigma below 1, the product-law orders, the bilinear alpha and the elementary
+        # ranges failed only after a draw, and the trilinear alpha was named
+        # as its derived default sigma
         def no_draws(*args):
-            raise AssertionError("drew a field for a bad parameter")
+            raise AssertionError("drew a sample for a bad parameter")
 
-        monkeypatch.setattr(sqglab.lemmas, "_draw", no_draws)
+        for name in ("_draw", "_elementary_draws", "_exp_kernel_draws"):
+            monkeypatch.setattr(sqglab.lemmas, name, no_draws)
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
-        with pytest.raises(ValueError, match="form|sigma"):
+        with pytest.raises(ValueError, match=key):
             estimate_constant(spec, which, params)
 
     @pytest.mark.parametrize(
@@ -595,6 +611,59 @@ class TestEstimateConstant:
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
         with pytest.raises(ValueError, match=repr(key)):
             estimate_constant(spec, which, params)
+
+    @pytest.mark.parametrize(
+        "which",
+        [
+            "2.1-productlaw-two-term",
+            "2.2-productlaw",
+            "2.3-trilinear",
+            "2.4-bilinear",
+            "cauchy-advection",
+        ],
+    )
+    def test_a_field_shape_without_a_lattice_is_rejected_before_any_draw(
+        self, monkeypatch, which
+    ):
+        def no_draws(*args):
+            raise AssertionError("drew a field without a lattice")
+
+        monkeypatch.setattr(sqglab.lemmas, "_draw", no_draws)
+        with pytest.raises(ValueError, match="lattice"):
+            estimate_constant(EnsembleSpec(count=10, seed=0), which)
+
+    # every key each shape reads, at its default; the trilinear sigma default
+    # is (1, 2 - 2 alpha) at alpha 0.25
+    ROW_DEFAULTS = {
+        "elementary": {"mag_range": (0.0, 10.0), "sigma_range": (1.0, 2.0)},
+        "2.1-productlaw-two-term": {"s1": 0.25, "s2": 0.25},
+        "2.2-productlaw": {"s1": 0.25, "s2": 0.25},
+        "2.3-trilinear": {"alpha": 0.25, "sigma": (1.0, 1.5)},
+        "2.4-bilinear": {"alpha": 0.25, "form": "both"},
+        "2.5-expkernel": {"grid": 201, "sigma_range": (0.05, 10.0), "t_range": (0.1, 5.0)},
+        "cauchy-advection": {"alpha": 0.25},
+    }
+
+    @pytest.mark.parametrize("which", list(ROW_DEFAULTS))
+    def test_every_key_at_its_default_gives_the_default_report(self, which):
+        spec = EnsembleSpec(count=10, seed=4, lattice=make_lattice(16, TWO_PI))
+        params = self.ROW_DEFAULTS[which]
+        assert set(params) == set(sqglab.lemmas._SHAPES[which].defaults)
+        explicit = estimate_constant(spec, which, params)
+        default = estimate_constant(spec, which, {})
+        got = (explicit.max_ratio, explicit.violations, explicit.degenerate_samples)
+        assert got == (default.max_ratio, default.violations, default.degenerate_samples)
+        assert explicit.params == params and default.params == {}
+
+    def test_the_offered_shapes_keep_their_order(self):
+        assert LEMMA_IDS == (
+            "elementary",
+            "2.1-productlaw-two-term",
+            "2.2-productlaw",
+            "2.3-trilinear",
+            "2.4-bilinear",
+            "2.5-expkernel",
+        )
 
     def test_every_read_parameter_is_accepted(self, lat):
         spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)

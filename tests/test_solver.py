@@ -169,6 +169,14 @@ class TestStep:
         ]
         assert min(orders) > 3.5
 
+    def test_a_non_finite_step_raises_floating_point_error(self):
+        # a single step has no run record to carry, so it is not a BlowupError
+        cfg = small_config(dt=1.0, init_norm=1e150)
+        theta = initial_field(cfg)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+            step(theta, cfg)
+        assert not isinstance(err.value, BlowupError)
+
 
 class TestSimulate:
     def test_zero_data_stays_zero(self):
