@@ -355,6 +355,9 @@ _SWEEP_AXES = ("alpha", "init_norm_rel", "init_norm", "n", "seed")
 
 def cmd_sweep(args):
     spec = _read_json_object(args.spec, "sweep spec")
+    unknown = set(spec) - {"base", "grid", "tol_l2", "tol_h", "max_jobs"}
+    if unknown:
+        raise UsageError(f"unknown sweep spec keys: {sorted(unknown)}")
     if not isinstance(spec.get("base"), dict):
         raise UsageError("sweep spec must have a 'base' config object")
     base, base_checks = _split_config(spec["base"])

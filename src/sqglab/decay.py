@@ -30,8 +30,7 @@ import numpy as np
 
 from .lemmas import EnsembleSpec, estimate_constant
 from .norms import hom_norm, inhom_norm, interpolation_gap, shell_spectrum
-from .solver import simulate, smallness_gate
-from .spectral import _ALPHA, _checked
+from .solver import _write_csv, simulate, smallness_gate
 # unused here; bound only because perfbench/spans.py wraps these names
 from .spectral import high_pass, low_pass  # noqa: F401
 
@@ -54,6 +53,9 @@ __all__ = [
 
 class GateError(RuntimeError):
     """Raised when an experiment requires the smallness gate and it failed."""
+
+
+_LEDGER_TOL = 1e-6  # relative slack of the split and Cauchy checks, for time discretization
 
 
 def _band_norms_sq(fields, deltas, orders):
@@ -86,10 +88,10 @@ def _ledger_orders(alpha):
     return (0.0, alpha, -(2.0 - 3.0 * alpha))
 
 
-def _require_snapshots(traj, minimum=2):
-    if len(traj.snapshots) < minimum:
+def _require_snapshots(traj):
+    if len(traj.snapshots) < 2:
         raise ValueError(
-            f"trajectory carries {len(traj.snapshots)} snapshots, need >= {minimum}; "
+            f"trajectory carries {len(traj.snapshots)} snapshots, need >= 2; "
             "rerun with snapshot_every > 0"
         )
 
@@ -144,24 +146,25 @@ class SplitDiagnostics:
         }
 
 
-def split_diagnostics(traj, delta, c_hat, tol=1e-6):
+def split_diagnostics(traj, delta, c_hat):
     """Evaluate the frequency-splitting ledger of one run at cutoff delta.
 
     ``c_hat`` is the product-law constant for s1 = s2 = alpha (estimate it
     with :func:`estimate_split_constant`); a generous estimate only loosens
-    the bound, an underestimate can fail it.
+    the bound, an underestimate can fail it.  The ledger passes within a
+    relative tolerance of 1e-6.
     """
     _require_snapshots(traj)
     alpha = traj.config.alpha
     low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
-    return _split_ledgers(traj, [delta], alpha, c_hat, low, high, tol)[0]
+    return _split_ledgers(traj, [delta], alpha, c_hat, low, high)[0]
 
 
-def duhamel_highfreq_bound(traj, delta, alpha, c_hat):
+def duhamel_highfreq_bound(traj, delta, c_hat):
     """Time integral of ||v_delta||^2_{Hdot^{-sigma}} and its Duhamel bound.
 
-    sigma = 2 - 3*alpha > 0.  The bound assembles the two pieces of the
-    Duhamel representation of the high-frequency part:
+    sigma = 2 - 3*alpha > 0, alpha the run's.  The bound assembles the two
+    pieces of the Duhamel representation of the high-frequency part:
 
         M_delta = ( sqrt(delta^(-2*sigma - 2*alpha) ||theta0||_{L2}^2 / 2)
                     + c_hat * sqrt(delta^(-2*alpha) * int ||theta||^2_{Hdot^a}) )^2,
@@ -169,14 +172,11 @@ def duhamel_highfreq_bound(traj, delta, alpha, c_hat):
     linear decay of v0 plus the exponentially damped forcing by the
     quadratic term, with c_hat the product-law constant for s1 = s2 = alpha.
     """
-    _require_snapshots(traj)
-    _checked("alpha", alpha, *_ALPHA)
-    low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
-    split = _split_ledgers(traj, [delta], alpha, c_hat, low, high)[0]
+    split = split_diagnostics(traj, delta, c_hat)
     return split.int_v_negsigma, split.m_delta
 
 
-def _split_ledgers(traj, deltas, alpha, c_hat, low, high, tol=1e-6):
+def _split_ledgers(traj, deltas, alpha, c_hat, low, high):
     """The splitting ledger at every cutoff, from precomputed band norms.
 
     ``low`` and ``high`` are ``_band_norms_sq(traj.snapshots, deltas,
@@ -202,7 +202,7 @@ def _split_ledgers(traj, deltas, alpha, c_hat, low, high, tol=1e-6):
                 eps_delta=eps_delta,
                 int_v_negsigma=float(np.trapezoid(high[:, j, 2], t)),
                 m_delta=(linear_part + forced_part) ** 2,
-                tol=tol,
+                tol=_LEDGER_TOL,
             )
         )
     return splits
@@ -214,8 +214,9 @@ class OccupationReport:
 
     measure_estimate sums the sample weights where the tracked value exceeds
     the threshold; bound = threshold^(-p) * trapezoid(value^p) with the same
-    weights, so measure <= bound holds sample by sample.  first_good_time is
-    the earliest sample at or below the threshold (inf if none).
+    weights, so measure <= bound holds sample by sample (passed allows a
+    relative 1e-12).  first_good_time is the earliest sample at or below the
+    threshold (inf if none).
     """
 
     threshold: float
@@ -223,11 +224,10 @@ class OccupationReport:
     measure_estimate: float
     bound: float
     first_good_time: float
-    tol: float = 1e-12
 
     @property
     def passed(self):
-        return self.measure_estimate <= self.bound * (1.0 + self.tol)
+        return self.measure_estimate <= self.bound * (1.0 + 1e-12)
 
     def to_json_dict(self):
         return {
@@ -240,7 +240,7 @@ class OccupationReport:
         }
 
 
-def occupation_report(times, values, threshold, exponent, tol=1e-12):
+def occupation_report(times, values, threshold, exponent):
     """Occupation time of {value > threshold} against its Chebyshev bound."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -271,46 +271,43 @@ def occupation_report(times, values, threshold, exponent, tol=1e-12):
         measure_estimate=measure,
         bound=bound,
         first_good_time=first_good,
-        tol=tol,
     )
 
 
 @dataclass
 class CauchyCheck:
-    """Lipschitz-in-time diagnostic against the (1 + C*M)*M rate."""
+    """Lipschitz-in-time diagnostic against the (1 + C*M)*M rate, passed within 1e-6."""
 
     worst_ratio: float
     rate: float
     sup_norm: float
-    tol: float
 
     @property
     def passed(self):
-        return self.worst_ratio <= 1.0 + self.tol
+        return self.worst_ratio <= 1.0 + _LEDGER_TOL
 
 
-def cauchy_in_time_check(traj, alpha, c_hat, tol=1e-6, max_snapshots=64):
+def cauchy_in_time_check(traj, c_hat):
     """Worst ratio of ||theta(t) - theta(t')||_{L2} over (1 + C*M)*M*|t - t'|.
 
     M is the largest sampled critical norm.  Snapshots are strided down to
-    at most ``max_snapshots`` before forming all pairs.
+    at most 64 before forming all pairs.
     """
-    if len(traj.snapshots) < 2:
-        raise ValueError("need at least two snapshots")
-    stride = max(1, -(-len(traj.snapshots) // max_snapshots))
+    _require_snapshots(traj)
+    stride = max(1, -(-len(traj.snapshots) // 64))
     snaps = traj.snapshots[::stride]
     times = traj.snapshot_times[::stride]
     sup_norm = float(np.max(traj.series.h_crit))
     rate = (1.0 + c_hat * sup_norm) * sup_norm
     if rate == 0.0:
-        return CauchyCheck(0.0, 0.0, 0.0, tol)
+        return CauchyCheck(0.0, 0.0, 0.0)
     worst = 0.0
     for i in range(len(snaps)):
         for j in range(i + 1, len(snaps)):
             diff = hom_norm(snaps[j] - snaps[i], 0.0)
             gap = times[j] - times[i]
             worst = max(worst, diff / (rate * gap))
-    return CauchyCheck(worst_ratio=worst, rate=rate, sup_norm=sup_norm, tol=tol)
+    return CauchyCheck(worst_ratio=worst, rate=rate, sup_norm=sup_norm)
 
 
 def default_delta_ladder(lattice):
@@ -319,23 +316,23 @@ def default_delta_ladder(lattice):
     return (0.5 * k, k, 2.0 * k, 4.0 * k)
 
 
-def _ensemble_max(lattice, which, params, count, seed):
-    """Largest estimated constant of ``which`` over a Gaussian and a few-mode ensemble."""
+def _ensemble_max(lattice, which, params, seed):
+    """Largest estimated constant of ``which`` over 32-field Gaussian and few-mode ensembles."""
     best = 0.0
     for generator in ("gaussian", "multi_mode"):
-        spec = EnsembleSpec(count=count, generator=generator, seed=seed, lattice=lattice)
+        spec = EnsembleSpec(count=32, generator=generator, seed=seed, lattice=lattice)
         best = max(best, estimate_constant(spec, which, params).estimated_constant)
     return best
 
 
-def estimate_split_constant(lattice, alpha, count=32, seed=13):
-    """Product-law constant for s1 = s2 = alpha used by the splitting ledger."""
-    return _ensemble_max(lattice, "2.2-productlaw", {"s1": alpha, "s2": alpha}, count, seed)
+def estimate_split_constant(lattice, alpha):
+    """Splitting-ledger product-law constant, s1 = s2 = alpha: 32 fields per family, seed 13."""
+    return _ensemble_max(lattice, "2.2-productlaw", {"s1": alpha, "s2": alpha}, 13)
 
 
-def estimate_cauchy_constant(lattice, alpha, count=32, seed=17):
-    """Advection L2-bound constant used by the Cauchy-in-time diagnostic."""
-    return _ensemble_max(lattice, "cauchy-advection", {"alpha": alpha}, count, seed)
+def estimate_cauchy_constant(lattice, alpha):
+    """Cauchy-in-time advection L2-bound constant: 32 fields per family, seed 17."""
+    return _ensemble_max(lattice, "cauchy-advection", {"alpha": alpha}, 17)
 
 
 @dataclass
@@ -409,12 +406,10 @@ class DecayReport:
         }
 
     def residuals_to_csv(self, path):
-        with open(path, "w") as handle:
-            names = ["t"] + sorted(self.residuals)
-            handle.write(",".join(names) + "\n")
-            cols = [self.residual_times] + [self.residuals[k] for k in names[1:]]
-            for row in zip(*cols):
-                handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        """Write t and the residual series, in name order, one row per snapshot."""
+        names = sorted(self.residuals)
+        cols = [self.residual_times] + [self.residuals[k] for k in names]
+        _write_csv(path, ["t", *names], cols)
 
 
 def _interp_and_embedding(traj, high):
@@ -515,7 +510,7 @@ def decay_experiment(
         )
 
     t_res, interp_rel, embed = _interp_and_embedding(traj, high)
-    cauchy = cauchy_in_time_check(traj, cfg.alpha, cauchy_c_hat)
+    cauchy = cauchy_in_time_check(traj, cauchy_c_hat)
 
     return DecayReport(
         gate_passed=gate.passed,

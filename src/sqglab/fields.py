@@ -53,8 +53,8 @@ def multi_mode_field(lattice, modes, normalize=False):
     return _finalize(lattice, coeffs, normalize)
 
 
-def random_multi_mode(lattice, rng, max_modes=4, max_index=3, normalize=True):
-    """A few random low-wavenumber modes; concentrates nonlinear interaction."""
+def random_multi_mode(lattice, rng, max_modes=4, max_index=3):
+    """A few random low-wavenumber modes, normalized in L2; concentrates nonlinear interaction."""
     count = int(rng.integers(2, max_modes + 1))
     modes = []
     for _ in range(count):
@@ -65,18 +65,17 @@ def random_multi_mode(lattice, rng, max_modes=4, max_index=3, normalize=True):
         amp = float(rng.uniform(0.2, 1.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         modes.append((j1, j2, amp, phase))
-    return multi_mode_field(lattice, modes, normalize=normalize)
+    return multi_mode_field(lattice, modes, normalize=True)
 
 
-def dyadic_bumps_field(lattice, rng, shell_decay=2.0, shells=None, normalize=True):
+def dyadic_bumps_field(lattice, rng, shell_decay=2.0, normalize=True):
     """Random field supported on dyadic annuli 2^m <= |xi| < 2^(m+1).
 
     Shell m carries weight 2^(-shell_decay * m), so the roll-off across
-    octaves is controlled directly.
+    octaves is controlled directly.  The shells are the octaves below the 2/3 cutoff.
     """
     n = lattice.n
-    if shells is None:
-        shells = max(1, int(np.log2(max(2.0, lattice.kmin * (n // 3)))))
+    shells = max(1, int(np.log2(max(2.0, lattice.kmin * (n // 3)))))
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     envelope = np.zeros((n, n))
     for m in range(shells):
@@ -92,36 +91,30 @@ def unit_mode(lattice, j1, j2, amp=1.0, phase=0.0):
     return multi_mode_field(lattice, [(j1, j2, amp, phase)])
 
 
+# Each generator family: its function and every params key it reads, with
+# the default it is drawn at.
 _GENERATORS = {
-    "gaussian": lambda lattice, rng, params: gaussian_random_field(
-        lattice, params.get("slope", 4.0), rng
-    ),
-    "multi_mode": lambda lattice, rng, params: random_multi_mode(
-        lattice,
-        rng,
-        max_modes=params.get("max_modes", 4),
-        max_index=params.get("max_index", 3),
-    ),
-    "dyadic_bumps": lambda lattice, rng, params: dyadic_bumps_field(
-        lattice, rng, shell_decay=params.get("shell_decay", 2.0)
-    ),
+    "gaussian": (gaussian_random_field, {"slope": 4.0}),
+    "multi_mode": (random_multi_mode, {"max_modes": 4, "max_index": 3}),
+    "dyadic_bumps": (dyadic_bumps_field, {"shell_decay": 2.0}),
 }
 
 
 def draw_field(generator, lattice, rng, params=None):
-    """Draw one sample from a named generator family."""
+    """Draw one sample from a named generator family, reading its row's keys from ``params``."""
     try:
-        make = _GENERATORS[generator]
+        make, defaults = _GENERATORS[generator]
     except KeyError:
         raise ValueError(
             f"unknown generator {generator!r}; choose from {sorted(_GENERATORS)}"
         ) from None
-    return make(lattice, rng, params or {})
+    params = params or {}
+    return make(lattice, rng=rng, **{key: params.get(key, d) for key, d in defaults.items()})
 
 
-def scaled_to_norm(f, target, order, homogeneous=False):
-    """Rescale a field so the selected Sobolev norm equals ``target``."""
-    current = hom_norm(f, order) if homogeneous else inhom_norm(f, order)
+def scaled_to_norm(f, target, order):
+    """Rescale a field so its inhomogeneous norm of order ``order`` equals ``target``."""
+    current = inhom_norm(f, order)
     if current == 0.0:
         if target == 0.0:
             return f.copy()

@@ -85,17 +85,9 @@ def _half_pairings(lattice, a, b, s, homogeneous=True):
     return np.sum(_half_weight(lattice, s, homogeneous) * cross, axis=(-2, -1))
 
 
-def _order(s):
-    """The norm order ``s`` as a float, checked finite."""
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError("norm order must be finite")
-    return s
-
-
 def hom_norm(f, s):
     """Homogeneous Sobolev norm |||D|^s f||_{L2}; s may be any finite real."""
-    return math.sqrt(float(_sq_norms(f.lattice, f.half, (_order(s),))[0]))
+    return math.sqrt(float(_sq_norms(f.lattice, f.half, (s,))[0]))
 
 
 def _shells(lattice):
@@ -135,7 +127,7 @@ def inhom_norm(f, s):
     """Equivalent inhomogeneous norm sqrt(L2^2 + hom(s)^2); requires s > 0."""
     if not s > 0:
         raise ValueError(f"inhomogeneous order must be positive, got {s}")
-    l2, hs = np.sqrt(_sq_norms(f.lattice, f.half, (0.0, _order(s)))).tolist()
+    l2, hs = np.sqrt(_sq_norms(f.lattice, f.half, (0.0, s))).tolist()
     return math.sqrt(l2**2 + hs**2)
 
 

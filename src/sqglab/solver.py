@@ -235,14 +235,18 @@ class NormSeries:
 
     def to_csv(self, path):
         """Write the pinned CSV layout: t,L2,Ha,H2m2a_hom,H2m2a,H2ma,D_L2,D_H."""
-        cols = self.columns()
-        with open(path, "w") as handle:
-            handle.write(",".join(SERIES_COLUMNS) + "\n")
-            for row in zip(*cols):
-                handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_csv(path, SERIES_COLUMNS, self.columns())
 
     def __len__(self):
         return len(self.times)
+
+
+def _write_csv(path, names, columns):
+    """Write a header of ``names`` and one row per entry of ``columns``, each float as repr."""
+    with open(path, "w") as handle:
+        handle.write(",".join(names) + "\n")
+        for row in zip(*columns):
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 @dataclass

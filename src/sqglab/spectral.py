@@ -216,10 +216,11 @@ class FrequencyLattice:
         return np.meshgrid(x, x, indexing="ij")
 
     def symbol_power(self, s):
-        """|xi|^s per mode with the (0,0) entry set to 0, cached per exponent."""
+        """|xi|^s per mode with the (0,0) entry set to 0, cached per finite exponent."""
         s = float(s)
         cached = self._symbol_cache.get(s)
         if cached is None:
+            _checked("exponent", s, "real")
             safe = self.k2.copy()
             safe[0, 0] = 1.0
             cached = safe ** (0.5 * s)

@@ -261,7 +261,7 @@ def test_criterion_8_splitting_machinery(main_run):
     for delta in ladder:
         diag = split_diagnostics(record, delta, c_hat)
         split_ok = split_ok and diag.low_ok
-        int_v, m_delta = duhamel_highfreq_bound(record, delta, alpha, c_hat)
+        int_v, m_delta = duhamel_highfreq_bound(record, delta, c_hat)
         duhamel_ok = duhamel_ok and int_v <= m_delta * (1.0 + 1e-6)
 
     # exact reconstruction on a sample of snapshots

@@ -729,6 +729,19 @@ class TestRuleTable:
         assert_rejected(main(["sweep", str(path), "--out", str(out)]), capsys, out)
 
     @pytest.mark.parametrize(
+        "extra",
+        [{"grids": {"seed": [1, 2, 3]}, "max_job": 1}, {"grids": {"seed": [1]}}, {"tol": 1e-3}],
+        ids=["grids-and-max-job", "grids", "tol"],
+    )
+    def test_unknown_top_level_sweep_key(self, tmp_path, capsys, extra):
+        # an ignored key is a silent misspelling: the sweep would run one row
+        # on the base settings and exit 0
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": BASE_CONFIG, **extra}))
+        out = tmp_path / "s.csv"
+        assert_rejected(main(["sweep", str(path), "--out", str(out)]), capsys, out)
+
+    @pytest.mark.parametrize(
         "data",
         [b'{"base": ', json.dumps([{"base": BASE_CONFIG}]).encode(), b"\xff\xfe{"],
         ids=["invalid-json", "json-list", "not-text"],

@@ -115,7 +115,7 @@ class TestDuhamelBound:
     def test_zero_trajectory(self):
         cfg = run_config(t_end=0.5)
         traj = simulate(multi_mode_field(cfg.lattice(), []), cfg)
-        int_v, m_delta = duhamel_highfreq_bound(traj, 1.0, ALPHA, 0.5)
+        int_v, m_delta = duhamel_highfreq_bound(traj, 1.0, 0.5)
         assert int_v == 0.0 and m_delta == 0.0
 
     def test_linear_single_mode_matches_the_closed_form(self):
@@ -128,7 +128,7 @@ class TestDuhamelBound:
         traj = simulate(theta0, cfg)
         sigma = 2.0 - 3.0 * ALPHA
         kmag = 3.0
-        int_v, m_delta = duhamel_highfreq_bound(traj, 1.5, ALPHA, 0.0)
+        int_v, m_delta = duhamel_highfreq_bound(traj, 1.5, 0.0)
         closed = (
             kmag ** (-2.0 * sigma)
             * hom_norm(theta0, 0.0) ** 2
@@ -139,7 +139,7 @@ class TestDuhamelBound:
 
     def test_small_data_run_is_bounded(self, small_run, c_hat):
         for delta in default_delta_ladder(small_run.initial.lattice):
-            int_v, m_delta = duhamel_highfreq_bound(small_run, delta, ALPHA, c_hat)
+            int_v, m_delta = duhamel_highfreq_bound(small_run, delta, c_hat)
             assert int_v <= m_delta * (1.0 + 1e-6)
 
 
@@ -193,27 +193,27 @@ class TestCauchyInTime:
     def test_zero_trajectory_has_zero_ratio(self):
         cfg = run_config(t_end=0.5)
         traj = simulate(multi_mode_field(cfg.lattice(), []), cfg)
-        check = cauchy_in_time_check(traj, ALPHA, 1.0)
+        check = cauchy_in_time_check(traj, 1.0)
         assert check.worst_ratio == 0.0 and check.passed
 
     def test_linear_single_mode_is_within_the_bound(self):
         cfg = run_config(nonlinear=False, t_end=2.0, snapshot_every=20)
         lat = cfg.lattice()
         traj = simulate(unit_mode(lat, 1, 0, amp=0.3), cfg)
-        check = cauchy_in_time_check(traj, ALPHA, 0.0)
+        check = cauchy_in_time_check(traj, 0.0)
         # |e^{-t} - e^{-t'}| <= (t' - t) and M >= ||theta||_{H} >= ||theta||_{L2}
         assert check.passed
 
     def test_small_data_run_is_lipschitz(self, small_run):
         c_adv = estimate_cauchy_constant(small_run.initial.lattice, ALPHA)
-        check = cauchy_in_time_check(small_run, ALPHA, c_adv)
+        check = cauchy_in_time_check(small_run, c_adv)
         assert check.worst_ratio <= 1.0 + 1e-6
 
     def test_too_few_snapshots_rejected(self):
         cfg = run_config(snapshot_every=0, t_end=0.2)
         traj = simulate(initial_field(cfg), cfg)
         with pytest.raises(ValueError):
-            cauchy_in_time_check(traj, ALPHA, 1.0)
+            cauchy_in_time_check(traj, 1.0)
 
     @pytest.mark.parametrize("count, used", [(351, 59), (128, 64)])
     def test_stride_keeps_at_most_max_snapshots(self, monkeypatch, count, used):
@@ -228,7 +228,7 @@ class TestCauchyInTime:
         monkeypatch.setattr(
             sqglab.decay, "hom_norm", lambda f, s: calls.append(s) or real(f, s)
         )
-        cauchy_in_time_check(traj, ALPHA, 1.0, max_snapshots=64)
+        cauchy_in_time_check(traj, 1.0)
         # one norm per pair of the kept snapshots
         kept = (1 + math.isqrt(1 + 8 * len(calls))) // 2
         assert kept * (kept - 1) // 2 == len(calls)
@@ -240,7 +240,7 @@ class TestCauchyInTime:
         for dt in (0.02, 0.01, 0.005):
             cfg = run_config(dt=dt, t_end=1.0, snapshot_every=int(0.1 / dt))
             traj = simulate(initial_field(cfg), cfg)
-            ratios.append(cauchy_in_time_check(traj, ALPHA, 0.1).worst_ratio)
+            ratios.append(cauchy_in_time_check(traj, 0.1).worst_ratio)
         assert max(ratios) <= min(ratios) * 1.05
 
 
@@ -323,7 +323,7 @@ class TestShellSpectrumPath:
 
     def test_non_positive_cutoff_rejected(self, small_run):
         with pytest.raises(ValueError):
-            duhamel_highfreq_bound(small_run, 0.0, ALPHA, 1.0)
+            duhamel_highfreq_bound(small_run, 0.0, 1.0)
         with pytest.raises(ValueError):
             split_diagnostics(small_run, -1.0, 1.0)
 
@@ -341,7 +341,7 @@ class TestShellSpectrumPath:
             got = (split.sup_w_l2, split.int_w_ha, split.eps_delta)
             got += (split.int_v_negsigma, split.m_delta)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            int_v, m_delta = duhamel_highfreq_bound(traj, delta, ALPHA, c_hat)
+            int_v, m_delta = duhamel_highfreq_bound(traj, delta, c_hat)
             assert (int_v, m_delta) == pytest.approx(
                 oracles.duhamel_bound(traj, delta, ALPHA, c_hat), rel=1e-12, abs=0.0
             )
@@ -376,7 +376,7 @@ class TestShellSpectrumPath:
         for delta, split in zip(deltas, report.splits):
             assert split.to_json_dict() == split_diagnostics(traj, delta, c_hat).to_json_dict()
             assert (split.int_v_negsigma, split.m_delta) == duhamel_highfreq_bound(
-                traj, delta, ALPHA, c_hat
+                traj, delta, c_hat
             )
 
 

@@ -494,6 +494,47 @@ class TestEstimateConstant:
         assert report.degenerate_samples > 0
         assert report.violations == 0
 
+    @pytest.mark.parametrize(
+        "generator,params,key",
+        [
+            ("gaussian", {"slopes": 9.0}, "slopes"),
+            ("gaussian", {"modes": []}, "modes"),
+            ("multi_mode", {"slope": 4.0}, "slope"),
+            ("dyadic_bumps", {"max_index": 3}, "max_index"),
+        ],
+    )
+    def test_a_generator_key_the_family_does_not_read_is_rejected_before_any_draw(
+        self, lat, monkeypatch, generator, params, key
+    ):
+        # an ignored key is a silent misspelling: a gaussian "slopes" would
+        # give the report of no params at all
+        def no_draws(*args):
+            raise AssertionError("drew a sample for a bad generator key")
+
+        monkeypatch.setattr(sqglab.lemmas, "_draw", no_draws)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            spec = EnsembleSpec(count=10, generator=generator, seed=1, lattice=lat, params=params)
+            estimate_constant(spec, "2.4-bilinear", {"alpha": ALPHA})
+
+    @pytest.mark.parametrize("generator", ["gaussian", "multi_mode", "dyadic_bumps"])
+    def test_each_generator_key_at_its_default_gives_the_default_report(self, generator):
+        lattice = make_lattice(16, TWO_PI)
+        defaults = {
+            "gaussian": {"slope": 4.0},
+            "multi_mode": {"max_modes": 4, "max_index": 3},
+            "dyadic_bumps": {"shell_decay": 2.0},
+        }[generator]
+        assert defaults == sqglab.fields._GENERATORS[generator][1]
+        reports = [
+            estimate_constant(
+                EnsembleSpec(count=10, generator=generator, seed=1, lattice=lattice, params=p),
+                "2.4-bilinear",
+                {"alpha": ALPHA},
+            )
+            for p in ({}, defaults)
+        ]
+        assert reports[0].max_ratio == reports[1].max_ratio
+
     def test_deterministic_for_a_fixed_seed(self, lat):
         spec = EnsembleSpec(count=20, generator="gaussian", seed=11, lattice=lat)
         a = estimate_constant(spec, "2.3-trilinear", {"alpha": ALPHA})

@@ -18,6 +18,7 @@ from sqglab import (
     multiply,
     rescale_field,
     riesz_velocity,
+    scalar_product,
     unit_mode,
 )
 from oracles import l2_norm_physical
@@ -132,6 +133,20 @@ class TestFractionalPower:
         lat = make_lattice(16, TWO_PI)
         f = gaussian_random_field(lat, 1.0, np.random.default_rng(7))
         assert fractional_power(f, -1.0).coeffs[0, 0] == 0.0
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_exponent_is_rejected_and_caches_nothing(self, s):
+        # a NaN key never hits the cache, so an unchecked exponent would store
+        # one more array per call
+        lat = make_lattice(16, TWO_PI)
+        f = unit_mode(lat, 1, 0)
+        cached = len(lat._symbol_cache)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="finite"):
+                scalar_product(f, f, s)
+            with pytest.raises(ValueError, match="finite"):
+                fractional_power(f, s)
+        assert len(lat._symbol_cache) == cached
 
 
 class TestRieszVelocity:
