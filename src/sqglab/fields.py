@@ -92,7 +92,8 @@ def unit_mode(lattice, j1, j2, amp=1.0, phase=0.0):
 
 
 # Each generator family: its function and every params key it reads, with
-# the default it is drawn at.
+# the default it is drawn at.  multi_mode also reads "modes" on its own; see
+# draw_field.
 _GENERATORS = {
     "gaussian": (gaussian_random_field, {"slope": 4.0}),
     "multi_mode": (random_multi_mode, {"max_modes": 4, "max_index": 3}),
@@ -100,15 +101,43 @@ _GENERATORS = {
 }
 
 
-def draw_field(generator, lattice, rng, params=None):
-    """Draw one sample from a named generator family, reading its row's keys from ``params``."""
+def _generator_row(generator, params):
+    """The ``_GENERATORS`` row of ``generator``, once ``params`` hold only keys it reads.
+
+    Raises ValueError naming the family or the first key it does not read.
+    """
     try:
         make, defaults = _GENERATORS[generator]
     except KeyError:
         raise ValueError(
             f"unknown generator {generator!r}; choose from {sorted(_GENERATORS)}"
         ) from None
+    reads = [*defaults, "modes"] if generator == "multi_mode" else list(defaults)
+    for key in params:
+        if key not in reads:
+            raise ValueError(
+                f"generator {generator} reads no parameter {key!r}; it reads " + ", ".join(reads)
+            )
+    if "modes" in params and len(params) > 1:
+        others = ", ".join(repr(key) for key in params if key != "modes")
+        raise ValueError(f"multi_mode modes are drawn as given and take no {others}")
+    return make, defaults
+
+
+def draw_field(generator, lattice, rng, params=None):
+    """Draw one sample from a named generator family.
+
+    ``params`` may hold only keys of the family's row in ``_GENERATORS``;
+    any other key raises ValueError naming it before ``rng`` is touched.  A
+    key left out is drawn at its default.  ``multi_mode`` also takes
+    ``modes``, (j1, j2, amplitude, phase) tuples, and then no other key: the
+    sample is :func:`multi_mode_field` of them, unnormalized, and draws
+    nothing from ``rng``.
+    """
     params = params or {}
+    make, defaults = _generator_row(generator, params)
+    if "modes" in params:
+        return multi_mode_field(lattice, params["modes"])
     return make(lattice, rng=rng, **{key: params.get(key, d) for key, d in defaults.items()})
 
 

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _GENERATORS, draw_field, multi_mode_field
-# multiply and scalar_product are not called here any more; they stay bound
-# in this module because perfbench/spans.py wraps them
+# multi_mode_field, multiply and scalar_product are not called here any more;
+# they stay bound in this module because perfbench/spans.py wraps them
+from .fields import _GENERATORS, _generator_row, draw_field, multi_mode_field  # noqa: F401
 from .norms import _half_pairings, _sq_norms, hom_norm, scalar_product  # noqa: F401
 from .spectral import (  # noqa: F401
     _ALPHA,
@@ -116,7 +116,7 @@ _EXP_KERNEL_ROW_OUTPUTS = 3 + _SEGMENTS
 
 
 # One rule row per EnsembleSpec field, read by sqglab.spectral._checked; the
-# lattice is checked by the lemma that reads it.
+# lattice is checked by the lemma that reads it, and params by draw_field's check.
 _SPEC_RULES = {"count": ("whole", 1), "generator": (tuple(_GENERATORS),), "seed": ("whole", 0)}
 
 
@@ -124,8 +124,10 @@ _SPEC_RULES = {"count": ("whole", 1), "generator": (tuple(_GENERATORS),), "seed"
 class EnsembleSpec:
     """Sampling plan: how many fields, from which family, on which lattice.
 
-    ``params`` holds only keys of the family's row in ``sqglab.fields._GENERATORS``,
-    or, for ``multi_mode``, ``modes``: (j1, j2, amplitude, phase) tuples every sample repeats.
+    ``params`` are the family's :func:`sqglab.fields.draw_field` params, checked
+    by it when the spec is built: keys of the family's ``_GENERATORS`` row, or,
+    for ``multi_mode``, ``modes`` alone, (j1, j2, amplitude, phase) tuples that
+    every sample repeats.
     """
 
     count: int
@@ -136,15 +138,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         _check_fields(self, _SPEC_RULES)
-        keys = list(_GENERATORS[self.generator][1])
-        if self.generator == "multi_mode":
-            keys.append("modes")
-        for key in self.params:
-            if key not in keys:
-                raise ValueError(
-                    f"generator {self.generator} reads no parameter {key!r}; it reads "
-                    + ", ".join(keys)
-                )
+        _generator_row(self.generator, self.params)
 
 
 @dataclass
@@ -403,8 +397,6 @@ def _cauchy_advection_ratio(theta, alpha):
 
 
 def _draw(spec, rng):
-    if spec.generator == "multi_mode" and "modes" in spec.params:
-        return multi_mode_field(spec.lattice, spec.params["modes"])
     return draw_field(spec.generator, spec.lattice, rng, spec.params)
 
 

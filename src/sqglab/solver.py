@@ -142,10 +142,14 @@ class SolverConfig:
         seed for reproducible initial data.
     init_kind, init_slope
         generator family of the random initial data (see
-        :func:`sqglab.fields.draw_field`) and the Gaussian envelope slope.
+        :func:`sqglab.fields.draw_field`) and the envelope slope of the
+        ``gaussian`` family only; its default 4.0 is that family's default.
+        A slope other than 4.0 for a family that reads none is rejected.
     init_modes
-        explicit (j1, j2, amplitude, phase) modes used instead of a random
-        draw.
+        explicit (j1, j2, amplitude, phase) modes, the ``multi_mode``
+        family's ``modes``: the initial data is their sum, with no random
+        draw.  ``init_kind`` is then ``multi_mode`` or its default, and
+        ``init_slope`` its default.
 
     The kind and bounds of every field are its row in ``_CONFIG_RULES``
     above (README, "Run configuration"); the rules across fields are
@@ -194,6 +198,29 @@ class SolverConfig:
             silent = all((j1, j2) == (0, 0) or amp == 0 for j1, j2, amp, _ in self.init_modes)
             if silent and (self.init_norm or self.init_norm_rel):  # at most one is set
                 raise ValueError("init_modes give the zero field, which has no nonzero norm")
+        kind, params = self._init_draw()
+        if self.init_kind not in (kind, SolverConfig.init_kind):
+            raise ValueError(
+                f"init_kind {self.init_kind} is not drawn next to init_modes, "
+                "which are the multi_mode family's modes"
+            )
+        try:
+            field_gen._generator_row(kind, params)  # the one check of draw_field
+        except ValueError as exc:
+            raise ValueError(f"init_slope {self.init_slope!r} is not read: {exc}") from None
+
+    def _init_draw(self):
+        """The generator family and :func:`sqglab.fields.draw_field` params of theta0.
+
+        ``init_modes`` are the ``multi_mode`` family's ``modes``, and
+        ``init_slope`` is the family's ``slope`` when it is not its default.
+        """
+        kind, params = self.init_kind, {}
+        if self.init_modes is not None:
+            kind, params = "multi_mode", {"modes": self.init_modes}
+        if self.init_slope != SolverConfig.init_slope:
+            params["slope"] = self.init_slope
+        return kind, params
 
     def lattice(self):
         return make_lattice(self.n, self.box_len)
@@ -369,8 +396,9 @@ def simulate(theta0, cfg):
 
     For nonlinear runs the initial field is dealiased first, which keeps the
     quadratic term alias-free along the whole trajectory.  The run aborts
-    with :class:`BlowupError` if coefficients stop being finite or the
-    critical norm exceeds ``blowup_factor`` times its initial value, and
+    with :class:`BlowupError` if coefficients stop being finite, the
+    initial critical norm is not finite (before any step), or the critical
+    norm exceeds ``blowup_factor`` times its initial value, and
     with its subclass :class:`CflError` on a CFL violation without
     ``auto_dt`` or steps past :data:`MAX_STEPS`.  Each abort breaks the
     loop and raises with the partial record built after it.
@@ -424,6 +452,9 @@ def simulate(theta0, cfg):
             rows.append(sq[:4])
             h_now = math.sqrt(sq[0] + sq[2])
             if step_index == 0:
+                if not math.isfinite(h_now):  # it would set a ceiling no norm exceeds
+                    abort = (BlowupError, "non-finite", f"non-finite critical norm at t={t:g}")
+                    break
                 ceiling = cfg.blowup_factor * max(h_now, np.finfo(float).tiny)
             elif h_now > ceiling:
                 msg = (
@@ -590,10 +621,8 @@ def initial_field(cfg):
     """Build the seeded initial field described by the configuration."""
     lat = cfg.lattice()
     rng = np.random.default_rng(cfg.seed)
-    if cfg.init_modes is not None:
-        f = field_gen.multi_mode_field(lat, cfg.init_modes)
-    else:
-        f = field_gen.draw_field(cfg.init_kind, lat, rng, {"slope": cfg.init_slope})
+    kind, params = cfg._init_draw()
+    f = field_gen.draw_field(kind, lat, rng, params)
     target = cfg.init_norm
     if cfg.init_norm_rel is not None:
         target = cfg.init_norm_rel * cfg.resolved_eps0()

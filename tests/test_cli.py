@@ -127,6 +127,36 @@ class TestSimulateCommand:
         assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
         assert last_series_time(out) < 2.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_non_finite_first_sample_exits_three_with_its_one_sample(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.json", seed=1, init_norm=1e200, init_norm_rel=REMOVE)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_INSTABILITY
+        assert "instability: non-finite critical norm at t=0" in capsys.readouterr().err
+        assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
+        assert len((out / "series.csv").read_text().splitlines()) == 2  # the header and t=0
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["init_kind=dyadic_bumps", "init_slope=9"], "init_slope"),
+            (["init_kind=multi_mode", "init_slope=2"], "init_slope"),
+            (["init_modes=[[1, 0, 1, 0]]", "init_slope=9"], "init_slope"),
+            (["init_modes=[[1, 0, 1, 0]]", "init_kind=dyadic_bumps"], "init_kind"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_an_init_setting_the_draw_would_not_read_exits_usage_without_a_directory(
+        self, tmp_path, capsys, overrides, key
+    ):
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "out"
+        sets = [arg for text in overrides for arg in ("--set", text)]
+        assert main(["simulate", str(cfg), "--out", str(out), *sets]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: invalid configuration" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_command_line_override(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")
         out = tmp_path / "out"

@@ -223,16 +223,49 @@ class TestCauchyInTime:
             snapshot_times=[0.01 * i for i in range(count)],
             series=SimpleNamespace(h_crit=np.array([1.0])),
         )
-        calls = []
-        real = sqglab.decay.hom_norm
+        chunks = []
+        real = sqglab.decay._sq_norms
         monkeypatch.setattr(
-            sqglab.decay, "hom_norm", lambda f, s: calls.append(s) or real(f, s)
+            sqglab.decay,
+            "_sq_norms",
+            lambda lat, half, orders: chunks.append(len(half)) or real(lat, half, orders),
         )
         cauchy_in_time_check(traj, 1.0)
         # one norm per pair of the kept snapshots
-        kept = (1 + math.isqrt(1 + 8 * len(calls))) // 2
-        assert kept * (kept - 1) // 2 == len(calls)
+        pairs = sum(chunks)
+        kept = (1 + math.isqrt(1 + 8 * pairs)) // 2
+        assert kept * (kept - 1) // 2 == pairs
         assert kept == used <= 64
+
+    @pytest.mark.parametrize("count, kept", [(2, 2), (70, 35)])
+    def test_chunked_pairs_equal_the_per_pair_loop(self, monkeypatch, count, kept):
+        lat = make_lattice(16, TWO_PI)
+        rng = np.random.default_rng(count)
+        snaps = [gaussian_random_field(lat, 2.0, rng) for _ in range(count)]
+        times = [0.01 * i + 0.001 * i * i for i in range(count)]
+        series = SimpleNamespace(h_crit=np.array([1.0, 3.0]))
+        traj = SimpleNamespace(snapshots=snaps, snapshot_times=times, series=series)
+        chunks = []
+        real = sqglab.decay._sq_norms
+        monkeypatch.setattr(
+            sqglab.decay,
+            "_sq_norms",
+            lambda lat, half, orders: chunks.append(len(half)) or real(lat, half, orders),
+        )
+        check = cauchy_in_time_check(traj, 0.5)
+        # the differences from each kept snapshot to the later ones, a chunk per call
+        size = sqglab.decay._CAUCHY_CHUNK
+        assert 1 < size <= 8
+        later = range(kept - 1, 0, -1)  # how many later snapshots each kept one has
+        assert chunks == [min(size, r - k) for r in later for k in range(0, r, size)]
+        rate = (1.0 + 0.5 * 3.0) * 3.0
+        snaps, times = snaps[:: count // kept], times[:: count // kept]
+        worst = 0.0
+        for i in range(kept):
+            for j in range(i + 1, kept):
+                diff = hom_norm(snaps[j] - snaps[i], 0.0)
+                worst = max(worst, diff / (rate * (times[j] - times[i])))
+        assert check.worst_ratio == worst and check.rate == rate
 
     def test_ratio_stable_under_dt_refinement(self):
         # the fitted Lipschitz ratio is a property of the flow, not the step

@@ -99,3 +99,31 @@ def test_gaussian_field_is_the_complex_normal_construction_bit_for_bit(seed, n):
     want = want * (1.0 / hom_norm(want, 0.0))
     got = gaussian_random_field(lattice, 3.0, np.random.default_rng(seed))
     assert got.half.tobytes() == want.half.tobytes()
+
+
+@pytest.mark.parametrize(
+    "generator,params,key",
+    [
+        ("gaussian", {"slopes": 9.0}, "slopes"),
+        ("gaussian", {"modes": []}, "modes"),
+        ("multi_mode", {"slope": 9.0}, "slope"),
+        ("multi_mode", {"modes": [(1, 0, 1.0, 0.0)], "max_modes": 4}, "max_modes"),
+        ("multi_mode", {"max_index": 2, "modes": []}, "max_index"),
+        ("dyadic_bumps", {"slope": 9.0}, "slope"),
+    ],
+)
+def test_an_unread_key_is_rejected_before_the_rng_is_touched(lat, generator, params, key):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        draw_field(generator, lat, rng, params)
+    assert rng.bit_generator.state == state
+
+
+def test_multi_mode_takes_explicit_modes_as_given_with_no_draw(lat):
+    modes = [(2, -1, 0.7, 0.3), (1, 3, 0.2, 1.0)]
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    f = draw_field("multi_mode", lat, rng, {"modes": modes})
+    assert f.half.tobytes() == multi_mode_field(lat, modes).half.tobytes()
+    assert rng.bit_generator.state == state

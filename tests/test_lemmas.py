@@ -501,6 +501,7 @@ class TestEstimateConstant:
             ("gaussian", {"modes": []}, "modes"),
             ("multi_mode", {"slope": 4.0}, "slope"),
             ("dyadic_bumps", {"max_index": 3}, "max_index"),
+            ("multi_mode", {"modes": [], "max_modes": 4}, "max_modes"),
         ],
     )
     def test_a_generator_key_the_family_does_not_read_is_rejected_before_any_draw(

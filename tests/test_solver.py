@@ -24,6 +24,7 @@ from sqglab import (
     step,
     unit_mode,
 )
+from sqglab.fields import dyadic_bumps_field, random_multi_mode, scaled_to_norm
 from sqglab.solver import SERIES_COLUMNS
 from oracles import advection_coeffs
 
@@ -107,6 +108,21 @@ class TestSolverConfig:
         # rejected by the lattice before any array is allocated
         with pytest.raises(ValueError, match="lattice size"):
             small_config(n=10**9)
+
+    @pytest.mark.parametrize(
+        "bad, key",
+        [
+            ({"init_kind": "dyadic_bumps", "init_slope": 9.0}, "init_slope"),
+            ({"init_kind": "multi_mode", "init_slope": 2}, "init_slope"),
+            ({"init_modes": [[1, 0, 1.0, 0.0]], "init_slope": 9.0}, "init_slope"),
+            ({"init_modes": [[1, 0, 1.0, 0.0]], "init_kind": "dyadic_bumps"}, "init_kind"),
+        ],
+        ids=repr,
+    )
+    def test_an_init_setting_the_draw_would_not_read_is_rejected(self, bad, key):
+        # each was silently dropped: the field equals the one without it
+        with pytest.raises(ValueError, match=key):
+            small_config(**bad)
 
 
 class TestNonlinearTerm:
@@ -451,6 +467,53 @@ class TestSampleBlock:
         for mine, theirs in zip(partial.snapshots, longer.snapshots):
             assert np.array_equal(mine.coeffs, theirs.coeffs)
 
+    def test_a_non_finite_first_sample_aborts_before_any_step(self):
+        # the squared norms of a field scaled to 1e200 overflow; an inf first
+        # critical norm would set an inf ceiling, and the run went on to the
+        # step cap with steps of 0
+        cfg = small_config(n=16, seed=1, init_norm=1e200, snapshot_every=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta0 = initial_field(cfg)
+            with pytest.raises(BlowupError) as err:
+                simulate(theta0, cfg)
+        assert type(err.value) is BlowupError
+        record = err.value.record
+        assert record.aborted and record.abort_reason == "non-finite"
+        assert record.times.tolist() == [0.0] and record.snapshot_times == [0.0]
+        assert np.array_equal(record.final.coeffs, theta0.coeffs)
+
+
+PIN_MODES = [[1, 0, 1.0, 0.0], [2, -1, 0.5, 1.0]]
+
+
+class TestInitialField:
+    # every accepted initial-data setting, and the generator call that gives
+    # its field before scaling
+    @pytest.mark.parametrize(
+        "settings, build",
+        [
+            ({}, lambda lat, rng: gaussian_random_field(lat, 4.0, rng)),
+            ({"init_slope": 9.0}, lambda lat, rng: gaussian_random_field(lat, 9.0, rng)),
+            ({"init_kind": "multi_mode"}, lambda lat, rng: random_multi_mode(lat, rng)),
+            ({"init_kind": "dyadic_bumps"}, lambda lat, rng: dyadic_bumps_field(lat, rng)),
+            (
+                {"init_kind": "dyadic_bumps", "init_slope": 4},
+                lambda lat, rng: dyadic_bumps_field(lat, rng),
+            ),
+            ({"init_modes": PIN_MODES}, lambda lat, rng: multi_mode_field(lat, PIN_MODES)),
+            (
+                {"init_modes": PIN_MODES, "init_kind": "multi_mode"},
+                lambda lat, rng: multi_mode_field(lat, PIN_MODES),
+            ),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, dict) else "",
+    )
+    def test_each_accepted_setting_gives_its_generators_field_bit_for_bit(self, settings, build):
+        cfg = small_config(n=16, seed=1, **settings)
+        lat = cfg.lattice()
+        want = scaled_to_norm(build(lat, np.random.default_rng(1)), 0.1, cfg.critical_order)
+        assert initial_field(cfg).half.tobytes() == want.half.tobytes()
+
 
 class TestEnergyLedger:
     def test_zero_trajectory_has_zero_slack(self):
@@ -667,8 +730,9 @@ class TestRuleTable:
 
         # fields the rules across fields own: the lattice checks n and
         # box_len together (sqglab.spectral._lattice_size), init_modes is
-        # checked entry by entry and against the target norm, and an
-        # ensemble's lattice and params are checked by the lemma that reads them
+        # checked entry by entry and against the target norm, an ensemble's
+        # lattice is checked by the lemma that reads it, and its params by
+        # draw_field's check
         owned = {
             SolverConfig: {"n", "box_len", "init_modes"},
             CheckOptions: set(),
