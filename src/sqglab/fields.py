@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .norms import hom_norm, inhom_norm
@@ -104,8 +106,11 @@ _GENERATORS = {
 def _generator_row(generator, params):
     """The ``_GENERATORS`` row of ``generator``, once ``params`` hold only keys it reads.
 
-    Raises ValueError naming the family or the first key it does not read.
+    Raises ValueError naming the family or the first key it does not read,
+    or naming ``params`` when they are not a mapping.
     """
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params must be a mapping of parameter names to values, got {params!r}")
     try:
         make, defaults = _GENERATORS[generator]
     except KeyError:
@@ -134,7 +139,7 @@ def draw_field(generator, lattice, rng, params=None):
     sample is :func:`multi_mode_field` of them, unnormalized, and draws
     nothing from ``rng``.
     """
-    params = params or {}
+    params = {} if params is None else params
     make, defaults = _generator_row(generator, params)
     if "modes" in params:
         return multi_mode_field(lattice, params["modes"])

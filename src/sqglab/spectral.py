@@ -457,28 +457,61 @@ def _half_multipliers(lat):
     return cached
 
 
+def _to_physical(lat, half, keep):
+    """Physical samples of a stack of half spectra, (..., n, n//2 + 1) -> (..., n, n).
+
+    numpy's ``irfft2`` is ``ifft`` along axis -2, then ``irfft`` along axis
+    -1; this makes the same two passes.  When the columns from ``keep`` on
+    are all zero in ``half``, the first pass transforms columns 0 .. keep-1
+    only, into a work buffer cached per stack shape whose other columns are
+    never written and so stay zero; otherwise it transforms every column
+    into a fresh array.  Either way the result equals ``irfft2`` bit for bit
+    and is a fresh array.
+    """
+    if half[..., keep:].any():
+        spec = np.fft.ifft(half, axis=-2)
+    else:
+        key = ("inverse-buffer", half.shape)
+        spec = lat._symbol_cache.get(key)
+        if spec is None:
+            spec = lat._symbol_cache[key] = np.zeros(half.shape, np.complex128)
+        np.fft.ifft(half[..., :keep], axis=-2, out=spec[..., :keep])
+    return np.fft.irfft(spec, n=lat.n, axis=-1)
+
+
 def _quadratic_coeffs(lat, left, right):
     """The one kernel for quadratic terms, on the rfft2 half spectrum.
 
     ``left`` and ``right`` hold half spectra of shape (..., k, n, n//2 + 1)
     whose leading axes broadcast against each other.  Each goes to physical
-    space once as given, so a factor shared by a batch is transformed once.
-    The two operands are not stacked into one transform: at n = 128 one
-    irfft2 over four slices is slower than two over two.  The sum
-    left_1 * right_1 + ... + left_k * right_k is formed pointwise in that
-    order, transformed forward, masked with the 2/3 rule and mean-freed.
-    Returns the (..., n, n//2 + 1) result and the physical ``left`` factors.
+    space once as given (:func:`_to_physical`), so a factor shared by a
+    batch is transformed once.  The two operands are not stacked into one
+    transform: at n = 128 one transform over four slices is slower than two
+    over two.  The sum left_1 * right_1 + ... + left_k * right_k is formed
+    pointwise in that order and transformed forward in two pruned passes:
+    ``rfft`` along axis -1, then ``fft`` along axis -2 over columns 0 .. K
+    only, K = (n-1)//3, the columns the 2/3 rule keeps.  Those columns equal
+    the masked ``rfft2`` bit for bit; columns K+1 .. n/2 are +0.  The result
+    is masked with the 2/3 rule and mean-freed.
+
+    An operand whose columns K+1 .. n/2 are not all zero, which the public
+    :func:`multiply` and :func:`advect` accept, has all its columns
+    transformed, so the contract holds for every field.  Returns the
+    (..., n, n//2 + 1) result and the physical ``left`` factors, both fresh
+    arrays that no later call writes to.
     """
-    shape = (lat.n, lat.n)
-    left_p = np.fft.irfft2(left, s=shape)
-    right_p = np.fft.irfft2(right, s=shape)
+    keep = (lat.n - 1) // 3 + 1  # columns 0 .. K
+    left_p = _to_physical(lat, left, keep)
+    right_p = _to_physical(lat, right, keep)
     terms = zip(np.moveaxis(left_p, -3, 0), np.moveaxis(right_p, -3, 0))
     a, b = next(terms)
     prod = a * b
     for a, b in terms:
         prod += a * b
-    out = np.fft.rfft2(prod)
-    out *= _half_multipliers(lat)[2]
+    rows = np.fft.rfft(prod, axis=-1)
+    out = np.zeros(rows.shape, np.complex128)
+    np.fft.fft(rows[..., :keep], axis=-2, out=out[..., :keep])
+    out[..., :keep] *= _half_multipliers(lat)[2][:, :keep]
     return out, left_p
 
 

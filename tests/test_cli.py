@@ -136,6 +136,25 @@ class TestSimulateCommand:
         assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
         assert len((out / "series.csv").read_text().splitlines()) == 2  # the header and t=0
 
+    def test_a_non_finite_first_sample_prints_its_reason_and_no_numpy_warning(self, tmp_path):
+        # in a separate process, where a RuntimeWarning reaches stderr; the
+        # overflowing squares printed numpy's warning and the path of norms.py
+        cfg = write_config(tmp_path / "run.json", seed=1, init_norm=1e200, init_norm_rel=REMOVE)
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(sqglab.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqglab.cli", "simulate", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == EXIT_INSTABILITY, proc.stderr
+        assert "instability: non-finite critical norm at t=0" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert failure_manifest(out) == ({"stable": False}, ["series.csv", "manifest.json"])
+        assert len((out / "series.csv").read_text().splitlines()) == 2
+
     @pytest.mark.parametrize(
         "overrides, key",
         [

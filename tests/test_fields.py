@@ -120,6 +120,20 @@ def test_an_unread_key_is_rejected_before_the_rng_is_touched(lat, generator, par
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("params", [["slope"], [], "slope", 4.0])
+def test_params_that_are_not_a_mapping_are_rejected_before_the_rng_is_touched(lat, params):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="params must be a mapping"):
+        draw_field("gaussian", lat, rng, params)
+    assert rng.bit_generator.state == state
+
+
+def test_params_none_draws_at_the_defaults(lat):
+    drawn = [draw_field("gaussian", lat, np.random.default_rng(1), p) for p in (None, {})]
+    assert drawn[0].half.tobytes() == drawn[1].half.tobytes()
+
+
 def test_multi_mode_takes_explicit_modes_as_given_with_no_draw(lat):
     modes = [(2, -1, 0.7, 0.3), (1, 3, 0.2, 1.0)]
     rng = np.random.default_rng(1)

@@ -517,6 +517,15 @@ class TestEstimateConstant:
             spec = EnsembleSpec(count=10, generator=generator, seed=1, lattice=lat, params=params)
             estimate_constant(spec, "2.4-bilinear", {"alpha": ALPHA})
 
+    @pytest.mark.parametrize("params", [None, ["slope"], ("slope",), "slope", 4.0])
+    def test_params_that_are_not_a_mapping_are_rejected_when_the_spec_is_built(
+        self, lat, params
+    ):
+        # None raised a bare TypeError from the key loop, and a list of keys
+        # passed it and failed only at the first draw
+        with pytest.raises(ValueError, match="params must be a mapping"):
+            EnsembleSpec(count=2, generator="gaussian", seed=1, lattice=lat, params=params)
+
     @pytest.mark.parametrize("generator", ["gaussian", "multi_mode", "dyadic_bumps"])
     def test_each_generator_key_at_its_default_gives_the_default_report(self, generator):
         lattice = make_lattice(16, TWO_PI)

@@ -347,6 +347,115 @@ class TestHalfSpectrumKernel:
         assert np.array_equal(velocity_p, u)
 
 
+PRUNED_SIZES = [8, 10, 12, 14, 16, 48, 64, 96, 128]
+
+
+def _unpruned(lat, left, right):
+    """The kernel as irfft2, the pointwise sum, rfft2 and the mask."""
+    from sqglab.spectral import _half_multipliers
+
+    shape = (lat.n, lat.n)
+    left_p = np.fft.irfft2(left, s=shape)
+    right_p = np.fft.irfft2(right, s=shape)
+    (a, b), *rest = zip(np.moveaxis(left_p, -3, 0), np.moveaxis(right_p, -3, 0))
+    prod = a * b
+    for a, b in rest:
+        prod = prod + a * b
+    return np.fft.rfft2(prod) * _half_multipliers(lat)[2], left_p
+
+
+class TestPrunedKernel:
+    """The kernel transforms only the columns the 2/3 rule keeps, bit for bit."""
+
+    @staticmethod
+    def assert_unpruned(lat, left, right):
+        from sqglab.spectral import _quadratic_coeffs
+
+        keep = (lat.n - 1) // 3 + 1
+        got, got_left = _quadratic_coeffs(lat, left, right)
+        want, want_left = _unpruned(lat, left, right)
+        assert got_left.tobytes() == want_left.tobytes()
+        assert got[..., :keep].tobytes() == want[..., :keep].tobytes()
+        assert np.array_equal(got, want)
+        assert not got[..., keep:].any()
+        return got, got_left
+
+    @pytest.mark.parametrize("n", PRUNED_SIZES)
+    def test_advection_operands_equal_the_unpruned_transforms(self, n):
+        from sqglab.spectral import _half_multipliers
+
+        lat = make_lattice(n, TWO_PI)
+        theta = gaussian_random_field(lat, 2.0, np.random.default_rng(n)).half
+        velocity, grad, _ = _half_multipliers(lat)
+        self.assert_unpruned(lat, velocity * theta, grad * theta)
+
+    @pytest.mark.parametrize("n", PRUNED_SIZES)
+    def test_stacked_and_broadcast_operands_as_the_lab_cores_pass_them(self, n):
+        from sqglab.spectral import _half_multipliers
+
+        lat = make_lattice(n, TWO_PI)
+        rng = np.random.default_rng(n + 1)
+        f, *gs = (gaussian_random_field(lat, 2.0, rng).half for _ in range(4))
+        # the product-law core: f against the stack of its partners
+        got, _ = self.assert_unpruned(lat, f[None, None], np.stack(gs)[:, None])
+        assert got.shape == (3, n, n // 2 + 1)
+        # the bilinear core: the advection of (omega, theta) by theta
+        velocity, grad, _ = _half_multipliers(lat)
+        pair = np.stack(gs[:2])
+        self.assert_unpruned(lat, velocity * pair[:, None], grad * gs[1][None])
+
+    @pytest.mark.parametrize("n", PRUNED_SIZES)
+    def test_an_operand_that_is_not_band_limited_transforms_every_column(self, n):
+        lat = make_lattice(n, TWO_PI)
+        rng = np.random.default_rng(n + 2)
+        wide = gaussian_random_field(lat, 1.0, rng, band_limit=False).half
+        narrow = gaussian_random_field(lat, 1.0, rng).half
+        assert wide[:, (n - 1) // 3 + 1 :].any()
+        for left, right in ((wide, narrow), (narrow, wide), (wide, wide)):
+            self.assert_unpruned(lat, left[None], right[None])
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_a_later_call_leaves_earlier_results_alone(self, n):
+        from sqglab.spectral import _half_multipliers, _quadratic_coeffs
+
+        lat = make_lattice(n, TWO_PI)
+        rng = np.random.default_rng(n + 3)
+        velocity, grad, _ = _half_multipliers(lat)
+        operands = []
+        for band_limit in (True, False, True) * 2:
+            theta = gaussian_random_field(lat, 2.0, rng, band_limit=band_limit).half
+            operands.append((velocity * theta, grad * theta))
+        results = [_quadratic_coeffs(lat, *pair) for pair in operands[:3]]
+        kept = [(out.copy(), left.copy()) for out, left in results]
+        for pair in operands[3:]:  # the same shapes, other values
+            _quadratic_coeffs(lat, *pair)
+        for (out, left), (out_then, left_then) in zip(results, kept):
+            assert out.tobytes() == out_then.tobytes()
+            assert left.tobytes() == left_then.tobytes()
+        # a full-column call between two pruned ones leaves the buffer's
+        # dropped columns zero
+        for pair in operands:
+            self.assert_unpruned(lat, *pair)
+
+    @pytest.mark.parametrize("band_limit", [True, False])
+    def test_the_column_transforms_see_only_the_kept_columns(self, monkeypatch, band_limit):
+        from sqglab.spectral import _quadratic_coeffs
+
+        lat = make_lattice(64, TWO_PI)
+        half = gaussian_random_field(lat, 2.0, np.random.default_rng(5), band_limit).half
+        widths = {"ifft": [], "fft": []}
+        for name, seen in widths.items():
+            transform = getattr(np.fft, name)
+
+            def spy(a, *args, _transform=transform, _seen=seen, **kwargs):
+                _seen.append(a.shape[-1])
+                return _transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        _quadratic_coeffs(lat, half[None], half[None])
+        assert widths == {"ifft": [22 if band_limit else 33] * 2, "fft": [22]}
+
+
 def _producers(n):
     """(name, field) for every producer of fields, on an n x n lattice."""
     from sqglab import (
