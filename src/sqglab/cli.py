@@ -4,9 +4,12 @@ Exit codes are fixed so CI can consume runs:
 
     0  everything passed
     1  a check failed (ledger, lemma violation, decay diagnostics)
-    2  usage or configuration error
+    2  usage or configuration error, or an --out that cannot be made
     3  instability (CFL violation or suspected blow-up; partial outputs kept)
     4  smallness gate failed (decay without --force)
+
+:func:`main` maps every abort and rejected input to its code and one stderr
+line; it silences numpy's overflow warnings, as the checks report inf norms.
 
 The run configuration is one flat JSON object holding SolverConfig fields
 plus check options (tol_l2, tol_h, decay_target, occupation_fraction,
@@ -28,6 +31,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .decay import GateError, decay_experiment
@@ -54,6 +59,15 @@ _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _usage(what=None):
+    """Turn a value that the block rejects into a UsageError ``what: reason``."""
+    try:
+        yield
+    except (TypeError, ValueError, OSError) as exc:
+        raise UsageError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
 # One rule row per CheckOptions field, read by sqglab.spectral._checked; the
@@ -149,10 +163,8 @@ def load_config(path, overrides=()):
         key, value = _parse_override(text)
         data[key] = value
     solver_kwargs, check_kwargs = _split_config(data)
-    try:
+    with _usage("invalid configuration"):
         return SolverConfig(**solver_kwargs), CheckOptions(**check_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid configuration: {exc}") from exc
 
 
 def _config_dict(cfg):
@@ -162,20 +174,30 @@ def _config_dict(cfg):
     return d
 
 
-def _initial_field(cfg):
-    """theta0 of the configuration; one that cannot be built is a usage error."""
+@contextlib.contextmanager
+def _run(cfg, outdir):
+    """theta0 and the RunManifest of a run into ``outdir``, which is made here.
+
+    The manifest is written when the block ends normally or by a GateError
+    or BlowupError, whose verdict it first sets false; not on another error.
+    """
+    with _usage("invalid initial field"):
+        theta0 = initial_field(cfg)
+    with _usage("--out"):
+        os.makedirs(outdir, exist_ok=True)
+    manifest = RunManifest(config=_config_dict(cfg), started=_now())
+    abort = None
     try:
-        return initial_field(cfg)
-    except ValueError as exc:
-        raise UsageError(f"invalid initial field: {exc}") from exc
-
-
-def _write_manifest(manifest, outdir):
-    """Stamp the finish time, list the manifest among the outputs, write it."""
+        yield theta0, manifest
+    except (GateError, BlowupError) as exc:
+        manifest.verdicts["gate" if isinstance(exc, GateError) else "stable"] = False
+        abort = exc
     path = os.path.join(outdir, "manifest.json")
     manifest.finished = _now()
     manifest.outputs.append(path)
     manifest.write(path)
+    if abort is not None:
+        raise abort
 
 
 def _write_run_outputs(outdir, record, manifest):
@@ -192,30 +214,22 @@ def _write_run_outputs(outdir, record, manifest):
 
 def cmd_simulate(args):
     cfg, checks = load_config(args.config, args.set or ())
-    theta0 = _initial_field(cfg)
     outdir = args.out or "sqglab-run"
-    os.makedirs(outdir, exist_ok=True)
-    manifest = RunManifest(config=_config_dict(cfg), started=_now())
-
-    try:
-        record = simulate(theta0, cfg)
-    except BlowupError as exc:  # a CflError too; each keeps the partial record
-        print(f"instability: {exc}", file=sys.stderr)
-        manifest.verdicts["stable"] = False
-        _write_run_outputs(outdir, exc.record, manifest)
-        _write_manifest(manifest, outdir)
-        return EXIT_INSTABILITY
-
-    ledger = energy_ledger(record, tol_l2=checks.tol_l2, tol_h=checks.tol_h)
-    monitor = blowup_monitor(record)
-    manifest.verdicts = {
-        "stable": True,
-        "ledger_l2": ledger.l2_ok,
-        "ledger_h": ledger.h_ok,
-        "dissipation_finite": monitor.finite,
-    }
-    _write_run_outputs(outdir, record, manifest)
-    _write_manifest(manifest, outdir)
+    with _run(cfg, outdir) as (theta0, manifest):
+        try:
+            record = simulate(theta0, cfg)
+        except BlowupError as exc:  # a CflError too; each keeps the partial record
+            _write_run_outputs(outdir, exc.record, manifest)
+            raise
+        ledger = energy_ledger(record, tol_l2=checks.tol_l2, tol_h=checks.tol_h)
+        monitor = blowup_monitor(record)
+        manifest.verdicts = {
+            "stable": True,
+            "ledger_l2": ledger.l2_ok,
+            "ledger_h": ledger.h_ok,
+            "dissipation_finite": monitor.finite,
+        }
+        _write_run_outputs(outdir, record, manifest)
 
     print(
         f"simulate: {len(record.series)} samples to t={record.times[-1]:g}; "
@@ -234,12 +248,11 @@ def cmd_verify(args):
     for lemma_id in ids:
         if lemma_id not in LEMMA_IDS:
             raise UsageError(f"unknown lemma id {lemma_id!r}; {choices}")
-    try:
+    with _usage("--n"):
         lattice = make_lattice(args.n, 2.0 * math.pi)
-    except ValueError as exc:
-        raise UsageError(f"--n: {exc}") from exc
     outdir = args.out or "sqglab-verify"
-    os.makedirs(outdir, exist_ok=True)
+    with _usage("--out"):
+        os.makedirs(outdir, exist_ok=True)
 
     all_ok = True
     for lemma_id in ids:
@@ -270,12 +283,8 @@ def cmd_decay(args):
     if cfg.snapshot_every == 0:
         samples = max(2, int(round(cfg.t_end / cfg.dt)) // cfg.output_every)
         cfg = dataclasses.replace(cfg, snapshot_every=max(1, samples // 200))
-    theta0 = _initial_field(cfg)
     outdir = args.out or "sqglab-decay"
-    os.makedirs(outdir, exist_ok=True)
-    manifest = RunManifest(config=_config_dict(cfg), started=_now())
-
-    try:
+    with _run(cfg, outdir) as (theta0, manifest):
         report = decay_experiment(
             cfg,
             theta0,
@@ -284,30 +293,18 @@ def cmd_decay(args):
             target=target,
             force=args.force,
         )
-    except GateError as exc:
-        print(f"gate: {exc}", file=sys.stderr)
-        manifest.verdicts["gate"] = False
-        _write_manifest(manifest, outdir)
-        return EXIT_GATE
-    except BlowupError as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        manifest.verdicts["stable"] = False
-        _write_manifest(manifest, outdir)
-        return EXIT_INSTABILITY
-
-    report_path = os.path.join(outdir, "decay_report.json")
-    _write_json(report_path, report.to_json_dict())
-    residuals_path = os.path.join(outdir, "residuals.csv")
-    report.residuals_to_csv(residuals_path)
-    manifest.outputs += [report_path, residuals_path]
-    if report.max_advection_pairing is not None:
-        manifest.stats["max_advection_pairing"] = report.max_advection_pairing
-    manifest.verdicts = {
-        "gate": report.gate_passed,
-        "diagnostics": report.diagnostics_passed,
-        "decay_target": report.terminal_ratio < target,
-    }
-    _write_manifest(manifest, outdir)
+        report_path = os.path.join(outdir, "decay_report.json")
+        _write_json(report_path, report.to_json_dict())
+        residuals_path = os.path.join(outdir, "residuals.csv")
+        report.residuals_to_csv(residuals_path)
+        manifest.outputs += [report_path, residuals_path]
+        if report.max_advection_pairing is not None:
+            manifest.stats["max_advection_pairing"] = report.max_advection_pairing
+        manifest.verdicts = {
+            "gate": report.gate_passed,
+            "diagnostics": report.diagnostics_passed,
+            "decay_target": report.terminal_ratio < target,
+        }
 
     print(
         f"decay: terminal ratio {report.terminal_ratio:.3e} (target {target:g}); "
@@ -371,21 +368,21 @@ def cmd_sweep(args):
         if not isinstance(values, list) or not values:
             raise UsageError(f"sweep axis {name!r} must be a non-empty list, got {values!r}")
     tolerances = {k: spec[k] for k in ("tol_l2", "tol_h") if k in spec}
-    try:
+    with _usage("invalid sweep check options"):
         checks = CheckOptions(**{**base_checks, **tolerances})
-    except ValueError as exc:
-        raise UsageError(f"invalid sweep check options: {exc}") from exc
     axes = [(name, list(grid[name])) for name in _SWEEP_AXES if name in grid]
     combos = list(itertools.product(*(vals for _, vals in axes))) or [()]
     # both take whole numbers >= 1: one rule row for the two
     sizes = {"max_jobs": spec.get("max_jobs", 64)}
     sizes["SQGLAB_WORKERS"] = _number(os.environ.get("SQGLAB_WORKERS", "1"))
-    try:
+    with _usage():
         max_jobs, workers = (_checked(name, v, "whole", 1) for name, v in sizes.items())
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if len(combos) > max_jobs:
         raise UsageError(f"sweep of {len(combos)} runs exceeds max_jobs={max_jobs}")
+    out_path = args.out or "sweep.csv"
+    # the CSV is written once the rows are in; a path it cannot take fails now
+    with _usage("--out"), open(out_path, "a"):
+        pass
 
     payloads = [
         (base, {name: value for (name, _), value in zip(axes, combo)}, checks)
@@ -397,7 +394,6 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_row(p) for p in payloads]
 
-    out_path = args.out or "sweep.csv"
     columns = [name for name, _ in axes] + [
         "seed",
         "terminal_ratio",
@@ -488,10 +484,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, line = EXIT_USAGE, f"error: {exc}"
+    except GateError as exc:
+        code, line = EXIT_GATE, f"gate: {exc}"
+    except BlowupError as exc:  # a CflError too
+        code, line = EXIT_INSTABILITY, f"instability: {exc}"
+    print(line, file=sys.stderr)
+    return code
 
 
 def entry():

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import math
 
 import numpy as np
 
 from .norms import hom_norm, inhom_norm
-from .spectral import SpectralField
+from .spectral import SpectralField, _read_params
 
 __all__ = [
     "gaussian_random_field",
@@ -109,8 +109,6 @@ def _generator_row(generator, params):
     Raises ValueError naming the family or the first key it does not read,
     or naming ``params`` when they are not a mapping.
     """
-    if not isinstance(params, Mapping):
-        raise ValueError(f"params must be a mapping of parameter names to values, got {params!r}")
     try:
         make, defaults = _GENERATORS[generator]
     except KeyError:
@@ -118,11 +116,7 @@ def _generator_row(generator, params):
             f"unknown generator {generator!r}; choose from {sorted(_GENERATORS)}"
         ) from None
     reads = [*defaults, "modes"] if generator == "multi_mode" else list(defaults)
-    for key in params:
-        if key not in reads:
-            raise ValueError(
-                f"generator {generator} reads no parameter {key!r}; it reads " + ", ".join(reads)
-            )
+    _read_params(f"generator {generator}", params, reads)
     if "modes" in params and len(params) > 1:
         others = ", ".join(repr(key) for key in params if key != "modes")
         raise ValueError(f"multi_mode modes are drawn as given and take no {others}")
@@ -149,6 +143,8 @@ def draw_field(generator, lattice, rng, params=None):
 def scaled_to_norm(f, target, order):
     """Rescale a field so its inhomogeneous norm of order ``order`` equals ``target``."""
     current = inhom_norm(f, order)
+    if not math.isfinite(current):
+        raise ValueError(f"cannot scale a field whose norm is {current}")
     if current == 0.0:
         if target == 0.0:
             return f.copy()

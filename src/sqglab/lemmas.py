@@ -51,6 +51,7 @@ from .spectral import (  # noqa: F401
     _checked,
     _half_multipliers,
     _quadratic_coeffs,
+    _read_params,
     advect,
     multiply,
 )
@@ -318,8 +319,7 @@ def check_bilinear(omega, theta, alpha):
     ||omega||_{Hdot^{2-a}} ||theta||_{Hdot^{2-2a}} ||theta||_{Hdot^{2-a}}
     and against ||omega||_{Hdot^{2-2a}} ||theta||^2_{Hdot^{2-a}}.
     """
-    if not omega.lattice.compatible(theta.lattice):
-        raise ValueError("fields live on different lattices")
+    omega._check(theta)
     _checked("alpha", alpha, *_ALPHA)
     pair = np.stack((omega.half, theta.half))
     return _bilinear_core(omega.lattice, pair, alpha)[0]
@@ -549,21 +549,17 @@ def estimate_constant(spec, which, params=None):
     """Run one lemma shape over the ensemble and report the constant estimate.
 
     ``which`` is one of LEMMA_IDS (plus the internal "cauchy-advection"
-    shape).  ``params`` may hold only the keys that shape reads, listed with
-    their defaults in its ``_SHAPES`` row.  Any other key, a value out of its
-    range, or a field shape without ``spec.lattice`` raises ValueError
-    before the first draw.  Deterministic for a fixed EnsembleSpec.seed.
+    shape).  ``params``, a mapping, may hold only the keys that shape reads,
+    listed with their defaults in its ``_SHAPES`` row.  Other params, a value
+    out of its range, or a field shape without ``spec.lattice`` raise
+    ValueError before the first draw.  Deterministic for a fixed
+    EnsembleSpec.seed.
     """
     shape = _SHAPES.get(which) if isinstance(which, str) else None
     if shape is None:
         raise ValueError(f"unknown lemma id {which!r}; choose from {LEMMA_IDS}")
     _checked("constant estimation samples", spec.count, *_SAMPLES)
-    params = dict(params or {})
-    for key in params:
-        if key not in shape.defaults:
-            raise ValueError(
-                f"{which} reads no parameter {key!r}; it reads " + ", ".join(shape.defaults)
-            )
+    params = _read_params(which, {} if params is None else params, shape.defaults)
     if shape.fields and spec.lattice is None:
         raise ValueError(f"{which} draws fields and needs a lattice")
     p = {**shape.defaults, **params}

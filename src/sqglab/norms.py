@@ -138,8 +138,7 @@ def scalar_product(f, g, s=0.0, homogeneous=True):
     equivalent inhomogeneous pairing (1 + |xi|^{2s}) and requires s > 0.
     Either way ``scalar_product(f, f, ...)`` equals the squared norm.
     """
-    if not f.lattice.compatible(g.lattice):
-        raise ValueError("fields live on different lattices")
+    f._check(g)
     s = float(s)
     if not (homogeneous or s > 0):
         raise ValueError("inhomogeneous pairing requires s > 0")

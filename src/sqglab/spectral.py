@@ -21,6 +21,7 @@ import functools
 import numbers
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -83,6 +84,16 @@ def _checked(name, value, kind, low=None, high=None):
         if bound is not None and not _COMPARE[sign](value, bound):
             raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")
     return int(value) if kind == "whole" else value
+
+
+def _read_params(owner, params, reads):
+    """``params`` as a dict; ValueError unless a mapping of keys in ``reads`` only."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params must be a mapping of parameter names to values, got {params!r}")
+    for key in params:
+        if key not in reads:
+            raise ValueError(f"{owner} reads no parameter {key!r}; it reads " + ", ".join(reads))
+    return dict(params)
 
 
 # The rule row of the dissipation exponent, 0 < alpha < 1/2, read by every

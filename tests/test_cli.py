@@ -697,6 +697,92 @@ class TestCountsAndStepCaps:
         assert last_series_time(out) < BASE_CONFIG["t_end"]
 
 
+def run_cli(*args, **env):
+    """``python -m sqglab.cli *args`` in a new process, where numpy's warnings reach stderr."""
+    src = os.path.dirname(os.path.dirname(sqglab.__file__))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "sqglab.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "{cfg}"],
+            ["decay", "{cfg}"],
+            ["verify", "elementary", "--samples", "10"],
+            ["sweep", "{spec}"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_an_out_that_cannot_be_made_exits_usage_with_nothing_run_or_written(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # makedirs raised NotADirectoryError with a traceback and exit 1, and
+        # sweep ran every row before its open failed
+        def no_rows(payload):
+            raise AssertionError("ran a sweep row for an --out it cannot write")
+
+        monkeypatch.setattr(sqglab.cli, "_sweep_row", no_rows)
+        cfg = write_config(tmp_path / "run.json")
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"base": BASE_CONFIG, "grid": {"seed": [1, 2]}}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        before = sorted(tmp_path.iterdir())
+        args = [a.format(cfg=cfg, spec=spec) for a in command]
+        assert main([*args, "--out", str(blocker / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: --out: ")
+        assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == ""
+
+    def test_an_initial_field_whose_norm_overflows_exits_usage(self, tmp_path):
+        # its scale factor was target / inf = 0: the run simulated the zero
+        # field and exited 0
+        cfg = write_config(tmp_path / "run.json", init_norm_rel=REMOVE, init_norm=1.0)
+        out = tmp_path / "out"
+        proc = run_cli("simulate", cfg, "--set", "init_modes=[[1,0,1e200,0]]", "--out", out)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error: invalid initial field: cannot scale a field")
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_a_gate_that_overflows_prints_its_line_and_no_numpy_warning(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", init_norm_rel=REMOVE, init_norm=1e200)
+        out = tmp_path / "out"
+        proc = run_cli("decay", cfg, "--out", out)
+        assert proc.returncode == EXIT_GATE, proc.stderr
+        assert proc.stderr.startswith("gate: smallness gate failed")
+        assert "RuntimeWarning" not in proc.stderr
+        assert failure_manifest(out) == ({"gate": False}, ["manifest.json"])
+
+    def test_a_forced_decay_that_overflows_prints_its_line_and_no_numpy_warning(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", init_norm_rel=REMOVE, init_norm=1e155)
+        out = tmp_path / "out"
+        proc = run_cli("decay", cfg, "--force", "--out", out)
+        assert proc.returncode == EXIT_INSTABILITY, proc.stderr
+        assert proc.stderr.startswith("instability: non-finite critical norm at t=0")
+        assert "RuntimeWarning" not in proc.stderr
+        assert failure_manifest(out) == ({"stable": False}, ["manifest.json"])
+
+    def test_a_parallel_sweep_row_that_overflows_prints_no_numpy_warning(self, tmp_path):
+        spec = tmp_path / "sweep.json"
+        base = {k: v for k, v in BASE_CONFIG.items() if k != "init_norm_rel"}
+        spec.write_text(json.dumps({"base": base, "grid": {"init_norm": [0.01, 1e200]}}))
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", spec, "--out", out, SQGLAB_WORKERS="2")
+        assert proc.returncode == EXIT_CHECK_FAILED, proc.stderr
+        assert proc.stdout.startswith("sweep: 2 runs, 1 errors")
+        assert proc.stderr == ""
+        status = [row["status"] for row in csv.DictReader(out.open(newline=""))]
+        assert status == ["ok", "error: non-finite critical norm at t=0"]
+
+
 REAL_KEYS = (
     "alpha",
     "dt",

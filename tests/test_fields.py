@@ -83,6 +83,13 @@ def test_scaled_to_norm_hits_the_target(lat):
         scaled_to_norm(multi_mode_field(lat, []), 1.0, 1.5)
 
 
+def test_scaled_to_norm_rejects_a_field_whose_norm_overflows(lat):
+    # the norm is inf, so target / inf scaled the field to zero
+    f = multi_mode_field(lat, [(1, 0, 1e200, 0.0)])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm is inf"):
+        scaled_to_norm(f, 1.0, 1.5)
+
+
 def test_unknown_generator_rejected(lat):
     with pytest.raises(ValueError):
         draw_field("besov", lat, np.random.default_rng(0))

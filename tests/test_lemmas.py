@@ -663,6 +663,20 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match=repr(key)):
             estimate_constant(spec, which, params)
 
+    @pytest.mark.parametrize("params", [["s1"], "s1", 5, [("s1", ALPHA)]])
+    def test_shape_params_that_are_not_a_mapping_are_rejected_before_any_draw(
+        self, lat, monkeypatch, params
+    ):
+        # dict() split a list of keys and named the wrong key, a number raised
+        # a bare TypeError, and a list of pairs ran
+        def no_draws(*args):
+            raise AssertionError("drew a sample for params that are not a mapping")
+
+        monkeypatch.setattr(sqglab.lemmas, "_draw", no_draws)
+        spec = EnsembleSpec(count=10, generator="gaussian", seed=0, lattice=lat)
+        with pytest.raises(ValueError, match="params must be a mapping"):
+            estimate_constant(spec, "2.2-productlaw", params)
+
     @pytest.mark.parametrize(
         "which",
         [
