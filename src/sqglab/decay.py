@@ -31,8 +31,8 @@ import numpy as np
 from .lemmas import EnsembleSpec, estimate_constant
 from .norms import _shells, _sq_norms, hom_norm, inhom_norm, interpolation_gap, shell_spectrum
 from .solver import _write_csv, simulate, smallness_gate
-# unused here; bound only because perfbench/spans.py wraps these names
-from .spectral import high_pass, low_pass  # noqa: F401
+# high_pass and low_pass are unused here, bound only because perfbench/spans.py wraps them
+from .spectral import _checked, high_pass, low_pass  # noqa: F401
 
 __all__ = [
     "SplitDiagnostics",
@@ -73,6 +73,8 @@ def _band_norms_sq(fields, deltas, orders):
     working memory is O(shells * orders) whatever the number of fields.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.size == 0:
+        raise ValueError("cutoff ladder must not be empty")
     if not np.all(deltas > 0):
         raise ValueError("cutoff must be positive")
     radii = _shells(fields[0].lattice)[1]
@@ -159,6 +161,7 @@ def split_diagnostics(traj, delta, c_hat):
     the bound, an underestimate can fail it.  The ledger passes within a
     relative tolerance of 1e-6.
     """
+    _checked("c_hat", c_hat, "real", 0.0)
     _require_snapshots(traj)
     alpha = traj.config.alpha
     low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
@@ -300,6 +303,7 @@ def cauchy_in_time_check(traj, c_hat):
     to the later ones are reduced _CAUCHY_CHUNK at a time by one
     ``_sq_norms`` call, which gives each norm as ``hom_norm`` does.
     """
+    _checked("c_hat", c_hat, "real", 0.0)
     _require_snapshots(traj)
     stride = max(1, -(-len(traj.snapshots) // 64))
     snaps = traj.snapshots[::stride]
@@ -462,8 +466,12 @@ def decay_experiment(
 
     Refuses (GateError) when the smallness gate fails, unless ``force`` is
     set, in which case the gate verdict is recorded and the experiment runs
-    anyway.  Constants default to seeded lab estimates on the run's lattice.
+    anyway.  Constants default to seeded lab estimates on the run's lattice;
+    a given one must be finite and >= 0.
     """
+    for name, value in (("c_hat", c_hat), ("cauchy_c_hat", cauchy_c_hat)):
+        if value is not None:
+            _checked(name, value, "real", 0.0)
     gate = smallness_gate(theta0, cfg)
     if not gate.passed and not force:
         raise GateError(

@@ -95,7 +95,7 @@ def _mode(mode):
 # sqglab.spectral._checked reads them (_Open marks a bound the value may not
 # reach).  A field whose default is None may also be None.  n and box_len are
 # the lattice's (sqglab.spectral._lattice_size: whole, even, 8 <= n <=
-# MAX_LATTICE_N; box_len > 0), init_modes entries follow _MODE_RULES, and the
+# MAX_LATTICE_N; box_len > 0, norm scales normal), init_modes entries follow _MODE_RULES, and the
 # rules that span fields are written out in __post_init__.
 _CONFIG_RULES = {
     "alpha": _ALPHA,

@@ -117,12 +117,21 @@ def _lattice_size(n, box_len):
     """``(n, box_len)`` checked as a lattice takes them, allocating nothing.
 
     ``n`` must be a whole, even number with 8 <= n <= MAX_LATTICE_N (an
-    integral float becomes an int) and ``box_len`` positive and finite.
+    integral float becomes an int) and ``box_len`` positive and finite, with
+    the norm scales box_len**2/n**4 and (2 pi n/box_len)**±4 normal floats.
     """
     n = _checked("lattice size", n, "whole", 8, MAX_LATTICE_N)
     if n % 2 != 0:
         raise ValueError(f"lattice size must be even, got {n}")
-    return n, float(_checked("box_len", box_len, "real", _Open(0.0)))
+    box = np.float64(_checked("box_len", box_len, "real", _Open(0.0)))
+    with np.errstate(over="ignore", under="ignore"):
+        scales = (box**2 / np.float64(n) ** 4, (2 * np.pi * n / box) ** 4, (box / (2 * np.pi)) ** 4)
+    if not all(sys.float_info.min <= s <= sys.float_info.max for s in scales):
+        raise ValueError(
+            f"box_len must keep box_len**2/n**4, (2*pi*n/box_len)**4 and (box_len/(2*pi))**4 "
+            f"normal floats at n={n}, got {box_len!r}"
+        )
+    return n, float(box)
 
 
 @functools.lru_cache(maxsize=8)
@@ -247,7 +256,8 @@ def make_lattice(n, box_len):
     """Build a FrequencyLattice after the checks of :func:`_lattice_size`.
 
     ``n`` is a whole, even number with 8 <= n <= MAX_LATTICE_N (an integral
-    float such as 16.0 counts as 16); ``box_len`` is positive and finite.
+    float such as 16.0 counts as 16); ``box_len`` is positive and finite,
+    with the norm scales that :func:`_lattice_size` names normal floats.
     """
     return FrequencyLattice(n, box_len)
 

@@ -192,6 +192,16 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out), "--set", override]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("box_len", ["1e160", "1e-100", "1e100", "1e-300"])
+    def test_a_box_len_out_of_the_norms_float_range_exits_usage(self, tmp_path, capsys, box_len):
+        cfg = write_config(tmp_path / "run.json", dt=0.01, t_end=0.05, seed=1)
+        out = tmp_path / "out"
+        code = main(["simulate", str(cfg), "--out", str(out), "--set", f"box_len={box_len}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert err.startswith("error: invalid configuration: box_len") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override",
         [

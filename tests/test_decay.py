@@ -331,6 +331,25 @@ class TestDecayExperiment:
         with pytest.raises(ValueError):
             decay_experiment(cfg, initial_field(cfg))
 
+    @pytest.mark.parametrize("name", ["c_hat", "cauchy_c_hat"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_a_given_constant_is_checked_before_the_run(self, monkeypatch, name, bad):
+        # a nan or negative constant makes every Cauchy ratio nan or negative,
+        # which max() drops, so the check would pass with worst_ratio 0
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr(sqglab.decay, "simulate", no_run)
+        cfg = run_config(t_end=0.5)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            decay_experiment(cfg, initial_field(cfg), **{name: bad})
+
+    def test_an_empty_cutoff_ladder_is_rejected(self):
+        # with no split ledger and no occupation report it would pass vacuously
+        cfg = run_config(t_end=0.5)
+        with pytest.raises(ValueError, match="ladder"):
+            decay_experiment(cfg, initial_field(cfg), deltas=[])
+
 
 class TestShellSpectrumPath:
     """The shell-spectrum band norms against the per-mode filters."""
@@ -353,6 +372,18 @@ class TestShellSpectrumPath:
                     want_high = hom_norm(high_pass(f, delta), s) ** 2
                     assert low[i, j, k] == pytest.approx(want_low, rel=1e-12, abs=0.0)
                     assert high[i, j, k] == pytest.approx(want_high, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_a_non_finite_or_negative_constant_is_rejected(self, small_run, bad):
+        for check in (split_diagnostics, duhamel_highfreq_bound):
+            with pytest.raises(ValueError, match="^c_hat must"):
+                check(small_run, 1.0, bad)
+        with pytest.raises(ValueError, match="^c_hat must"):
+            cauchy_in_time_check(small_run, bad)
+
+    def test_empty_ladder_rejected(self, small_run):
+        with pytest.raises(ValueError, match="ladder"):
+            _band_norms_sq(small_run.snapshots, [], (0.0,))
 
     def test_non_positive_cutoff_rejected(self, small_run):
         with pytest.raises(ValueError):

@@ -109,6 +109,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="lattice size"):
             small_config(n=10**9)
 
+    def test_box_len_keeps_the_norm_scales_normal_floats(self):
+        # each puts box_len**2/n**4 or (2 pi n/box_len)**±4 out of the normal
+        # float range, so the norms would overflow or run on inf and nan
+        for bad in (1e160, 1e-100, 1e100, 1e-300):
+            with pytest.raises(ValueError, match="box_len"):
+                small_config(n=16, box_len=bad)
+        for good in (1e-8, 1e20):
+            assert small_config(n=16, box_len=good).box_len == good
+
     @pytest.mark.parametrize(
         "bad, key",
         [
