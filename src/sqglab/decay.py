@@ -12,13 +12,13 @@ The pipeline mirrors the two-step decay argument for small solutions:
    Hdot^{2-2a} <= L2^(a/(2-a)) Hdot^{2-a}^((2-2a)/(2-a)) and a second
    occupation bound to find a good time for the critical norm itself.
 
-All diagnostics are read-only passes over a finished trajectory with stored
-snapshots; every bound is checked at the quadrature level where it is
-literally true, with small tolerances covering time discretization only.
-:func:`decay_experiment` takes the shell spectrum of each snapshot once: one
-sweep gives the band norms at every cutoff of the ladder and every order
-(0, alpha, -sigma), and the splitting ledger, the Duhamel integral, the
-step-1 occupation series and the embedding slack read their slices of it.
+Every bound is checked at the quadrature level where it is literally true,
+with small tolerances covering time discretization only.  One fold reduces
+each snapshot to its band norms at every cutoff and order (0, alpha, -sigma),
+from one shell spectrum, which the splitting ledger, the Duhamel integral,
+the step-1 occupation series and the embedding slack read.
+:func:`decay_experiment` folds each snapshot as :func:`simulate` makes it and
+stores none, so its memory does not grow with the snapshot count.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .lemmas import EnsembleSpec, estimate_constant
 from .norms import _shells, _sq_norms, hom_norm, inhom_norm, interpolation_gap, shell_spectrum
-from .solver import _write_csv, simulate, smallness_gate
+from .solver import _planned_snapshots, _write_csv, simulate, smallness_gate
 # high_pass and low_pass are unused here, bound only because perfbench/spans.py wraps them
-from .spectral import _checked, high_pass, low_pass  # noqa: F401
+from .spectral import _Open, _checked, high_pass, low_pass  # noqa: F401
 
 __all__ = [
     "SplitDiagnostics",
@@ -61,33 +61,74 @@ _LEDGER_TOL = 1e-6  # relative slack of the split and Cauchy checks, for time di
 # median check took 27 ms in chunks of 4, against 39-53 ms in chunks of 8 or
 # one call per pair, and a chunk of 4 keeps the working memory near 0.3 MB
 _CAUCHY_CHUNK = 4
+_CAUCHY_MAX = 64  # most snapshots the Cauchy check forms all pairs of
+
+
+class _Fold:
+    """What the decay diagnostics keep of each snapshot, called as ``fold(t, field)``.
+
+    Each call keeps ``t`` and what is asked for: the squared Hdot^s norms of
+    the low (|xi| < delta) and high parts at every cutoff of ``deltas`` and
+    order of ``orders``, sums over their shells (a prefix and a suffix, so a
+    tiny high tail keeps its digits); the interpolation residual at ``alpha``;
+    and every s-th half spectrum, s = ceil(planned / 64), for the Cauchy check.
+    Where a 65th would be kept (more snapshots than planned), s doubles and
+    every other kept one is dropped.
+    """
+
+    def __init__(self, lattice, deltas=None, orders=(), alpha=None, planned=None):
+        self.lattice, self.alpha, self.cut = lattice, alpha, None
+        self.times, self.low, self.high, self.interp, self.kept = [], [], [], [], []
+        self.stride = None if planned is None else max(1, -(-planned // _CAUCHY_MAX))
+        if deltas is not None:
+            deltas = np.asarray(deltas, dtype=float)
+            if deltas.size == 0:
+                raise ValueError("cutoff ladder must not be empty")
+            if not np.all(deltas > 0):
+                raise ValueError("cutoff must be positive")
+            radii = _shells(lattice)[1]
+            self.cut = np.searchsorted(radii, deltas)
+            self.powers = radii[:, None] ** (2.0 * np.asarray(orders, dtype=float))
+            self.zero = np.zeros((1, len(orders)))
+
+    def __call__(self, t, f):
+        if self.cut is not None:
+            if not self.times:
+                self.theta0_l2 = hom_norm(f, 0.0)
+            terms = shell_spectrum(f)[1][:, None] * self.powers
+            self.low.append(np.vstack([self.zero, np.cumsum(terms, axis=0)])[self.cut])
+            rows = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], self.zero])
+            self.high.append(rows[self.cut])
+        if self.alpha is not None:
+            rel = 0.0
+            if hom_norm(f, 0.0) != 0.0:
+                gap = interpolation_gap(f, self.alpha)
+                rhs = gap + hom_norm(f, 2.0 - 2.0 * self.alpha)
+                rel = gap / rhs if rhs > 0 else 0.0
+            self.interp.append(rel)
+        if self.stride is not None and len(self.times) % self.stride == 0:
+            if len(self.kept) == _CAUCHY_MAX:
+                del self.kept[1::2]
+                self.stride *= 2
+            self.kept.append((t, f.half))
+        self.times.append(t)
+
+    def bands(self):
+        """The ``(low, high)`` band norms, each shaped (snapshots, cutoffs, orders)."""
+        return np.array(self.low), np.array(self.high)
+
+
+def _replay(times, snapshots, **parts):
+    """A :class:`_Fold` of ``parts`` fed stored ``snapshots`` taken at ``times``."""
+    fold = _Fold(snapshots[0].lattice, **parts)
+    for t, f in zip(times, snapshots):
+        fold(t, f)
+    return fold
 
 
 def _band_norms_sq(fields, deltas, orders):
-    """Squared Hdot^s norms of the low (|xi| < delta) and high parts of fields.
-
-    Returns ``(low, high)``, each shaped (fields, cutoffs, orders), from one
-    sweep that takes one shell spectrum per field for the whole ladder.  Both
-    are direct sums over their shells, a prefix and a suffix, so a high tail
-    far below the total keeps its digits.  The loop runs per field, so the
-    working memory is O(shells * orders) whatever the number of fields.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.size == 0:
-        raise ValueError("cutoff ladder must not be empty")
-    if not np.all(deltas > 0):
-        raise ValueError("cutoff must be positive")
-    radii = _shells(fields[0].lattice)[1]
-    cut = np.searchsorted(radii, deltas)
-    powers = radii[:, None] ** (2.0 * np.asarray(orders, dtype=float))
-    zero = np.zeros((1, len(orders)))
-    low = np.empty((len(fields), len(deltas), len(orders)))
-    high = np.empty_like(low)
-    for i, f in enumerate(fields):
-        terms = shell_spectrum(f)[1][:, None] * powers
-        low[i] = np.vstack([zero, np.cumsum(terms, axis=0)])[cut]
-        high[i] = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], zero])[cut]
-    return low, high
+    """The ``(low, high)`` band norms of :class:`_Fold` for a list of fields."""
+    return _replay([0.0] * len(fields), fields, deltas=deltas, orders=orders).bands()
 
 
 def _ledger_orders(alpha):
@@ -164,8 +205,9 @@ def split_diagnostics(traj, delta, c_hat):
     _checked("c_hat", c_hat, "real", 0.0)
     _require_snapshots(traj)
     alpha = traj.config.alpha
-    low, high = _band_norms_sq(traj.snapshots, [delta], _ledger_orders(alpha))
-    return _split_ledgers(traj, [delta], alpha, c_hat, low, high)[0]
+    orders = _ledger_orders(alpha)
+    fold = _replay(traj.snapshot_times, traj.snapshots, deltas=[delta], orders=orders)
+    return _split_ledgers(fold, traj.series, [delta], alpha, c_hat, *fold.bands())[0]
 
 
 def duhamel_highfreq_bound(traj, delta, c_hat):
@@ -184,17 +226,17 @@ def duhamel_highfreq_bound(traj, delta, c_hat):
     return split.int_v_negsigma, split.m_delta
 
 
-def _split_ledgers(traj, deltas, alpha, c_hat, low, high):
-    """The splitting ledger at every cutoff, from precomputed band norms.
+def _split_ledgers(fold, series, deltas, alpha, c_hat, low, high):
+    """The splitting ledger at every cutoff, from a run's series and fold.
 
-    ``low`` and ``high`` are ``_band_norms_sq(traj.snapshots, deltas,
-    _ledger_orders(alpha))``.  The single-cutoff functions and
+    ``low`` and ``high`` are ``fold.bands()`` at ``deltas`` and
+    ``_ledger_orders(alpha)``.  The single-cutoff functions and
     :func:`decay_experiment` all evaluate eps_delta and M_delta here.
     """
-    t = np.asarray(traj.snapshot_times)
+    t = np.asarray(fold.times)
     sigma = 2.0 - 3.0 * alpha
-    theta0_l2 = hom_norm(traj.snapshots[0], 0.0)
-    int_ha = float(np.trapezoid(traj.series.h_alpha**2, traj.series.times))
+    theta0_l2 = fold.theta0_l2
+    int_ha = float(np.trapezoid(series.h_alpha**2, series.times))
     splits = []
     for j, delta in enumerate(deltas):
         w_l2sq = low[:, j, 0]
@@ -305,20 +347,23 @@ def cauchy_in_time_check(traj, c_hat):
     """
     _checked("c_hat", c_hat, "real", 0.0)
     _require_snapshots(traj)
-    stride = max(1, -(-len(traj.snapshots) // 64))
-    snaps = traj.snapshots[::stride]
-    times = traj.snapshot_times[::stride]
-    sup_norm = float(np.max(traj.series.h_crit))
+    fold = _replay(traj.snapshot_times, traj.snapshots, planned=len(traj.snapshots))
+    return _cauchy_check(fold, traj.series.h_crit, c_hat)
+
+
+def _cauchy_check(fold, h_crit, c_hat):
+    """:func:`cauchy_in_time_check` over the fields a fold kept."""
+    sup_norm = float(np.max(h_crit))
     rate = (1.0 + c_hat * sup_norm) * sup_norm
     if rate == 0.0:
         return CauchyCheck(0.0, 0.0, 0.0)
-    lattice, halves = snaps[0].lattice, [f.half for f in snaps]
+    times, halves = zip(*fold.kept)
     worst = 0.0
-    for i, (t_i, half_i) in enumerate(zip(times, halves)):
+    for i, (t_i, half_i) in enumerate(fold.kept):
         for lo in range(i + 1, len(halves), _CAUCHY_CHUNK):
             diffs = np.stack(halves[lo : lo + _CAUCHY_CHUNK])
             diffs -= half_i
-            sq = _sq_norms(lattice, diffs, (0.0,))[0].tolist()
+            sq = _sq_norms(fold.lattice, diffs, (0.0,))[0].tolist()
             for d2, t_j in zip(sq, times[lo : lo + _CAUCHY_CHUNK]):
                 worst = max(worst, math.sqrt(d2) / (rate * (t_j - t_i)))
     return CauchyCheck(worst_ratio=worst, rate=rate, sup_norm=sup_norm)
@@ -426,30 +471,16 @@ class DecayReport:
         _write_csv(path, ["t", *names], cols)
 
 
-def _interp_and_embedding(traj, high):
-    """Per-snapshot interpolation residuals and the two-norm embedding slack.
-
-    ``high`` is the high part of ``_band_norms_sq(traj.snapshots, deltas,
-    _ledger_orders(alpha))``.
-    """
-    alpha = traj.config.alpha
+def _embedding(high, alpha):
+    """Worst two-norm embedding slack over the cutoffs, per snapshot of ``fold.bands()[1]``."""
     sigma = 2.0 - 3.0 * alpha
     a = alpha / (sigma + alpha)
-    t = np.asarray(traj.snapshot_times)
-    interp_rel = np.zeros(len(t))
-    for i, snap in enumerate(traj.snapshots):
-        if hom_norm(snap, 0.0) == 0.0:
-            continue
-        gap = interpolation_gap(snap, alpha)
-        rhs = gap + hom_norm(snap, 2.0 - 2.0 * alpha)
-        interp_rel[i] = gap / rhs if rhs > 0 else 0.0
     # Hdot^{-sigma} cap Hdot^alpha controls L2:
     # ||v||_{L2}^2 <= ||v||_{Hdot^-sigma}^{2a} ||v||_{Hdot^alpha}^{2(1-a)}
     v_l2sq, v_ha, v_neg = high[..., 0], high[..., 1], high[..., 2]
     occupied = v_l2sq > 0
     slack = (v_l2sq - v_neg**a * v_ha ** (1 - a)) / np.where(occupied, v_l2sq, 1.0)
-    embed = np.max(np.where(occupied, slack, 0.0), axis=1, initial=0.0)
-    return t, interp_rel, embed
+    return np.max(np.where(occupied, slack, 0.0), axis=1, initial=0.0)
 
 
 def decay_experiment(
@@ -467,11 +498,13 @@ def decay_experiment(
     Refuses (GateError) when the smallness gate fails, unless ``force`` is
     set, in which case the gate verdict is recorded and the experiment runs
     anyway.  Constants default to seeded lab estimates on the run's lattice;
-    a given one must be finite and >= 0.
+    a given one must be finite and >= 0, and ``occupation_fraction`` > 0
+    and finite; they and the cutoffs are checked before the run.
     """
     for name, value in (("c_hat", c_hat), ("cauchy_c_hat", cauchy_c_hat)):
         if value is not None:
             _checked(name, value, "real", 0.0)
+    _checked("occupation_fraction", occupation_fraction, "real", _Open(0.0))
     gate = smallness_gate(theta0, cfg)
     if not gate.passed and not force:
         raise GateError(
@@ -484,12 +517,13 @@ def decay_experiment(
     lattice = theta0.lattice
     if deltas is None:
         deltas = default_delta_ladder(lattice)
+    fold = _Fold(lattice, deltas, _ledger_orders(cfg.alpha), cfg.alpha, _planned_snapshots(cfg))
     if c_hat is None:
         c_hat = estimate_split_constant(lattice, cfg.alpha)
     if cauchy_c_hat is None:
         cauchy_c_hat = estimate_cauchy_constant(lattice, cfg.alpha)
 
-    traj = simulate(theta0, cfg)
+    traj = simulate(theta0, cfg, _on_snapshot=fold)
     order = cfg.critical_order
     initial_norm = inhom_norm(traj.initial, order)
     terminal_norm = inhom_norm(traj.final, order)
@@ -497,14 +531,13 @@ def decay_experiment(
     ratio = terminal_norm / initial_norm if initial_norm > 0 else 0.0
     ratio_hom = hom_norm(traj.final, order) / h0_hom if h0_hom > 0 else 0.0
 
-    _require_snapshots(traj)
-    low, high = _band_norms_sq(traj.snapshots, deltas, _ledger_orders(cfg.alpha))
-    splits = _split_ledgers(traj, deltas, cfg.alpha, c_hat, low, high)
+    low, high = fold.bands()
+    splits = _split_ledgers(fold, traj.series, deltas, cfg.alpha, c_hat, low, high)
 
     # step-1 occupation: time above threshold for each high-frequency tail
     l2_0 = float(traj.series.l2[0])
     occupations_low = []
-    t_snap = np.asarray(traj.snapshot_times)
+    t_snap = np.asarray(fold.times)
     first_good = 0.0
     if l2_0 > 0:
         eps_l2 = occupation_fraction * l2_0
@@ -527,8 +560,7 @@ def decay_experiment(
             (2.0 - cfg.alpha) / (1.0 - cfg.alpha),
         )
 
-    t_res, interp_rel, embed = _interp_and_embedding(traj, high)
-    cauchy = cauchy_in_time_check(traj, cauchy_c_hat)
+    interp_rel, embed = np.array(fold.interp), _embedding(high, cfg.alpha)
 
     return DecayReport(
         gate_passed=gate.passed,
@@ -542,8 +574,8 @@ def decay_experiment(
         occupation_crit=occupation_crit,
         interpolation_worst=float(np.min(interp_rel)) if len(interp_rel) else 0.0,
         embedding_worst=float(np.max(embed)) if len(embed) else 0.0,
-        cauchy=cauchy,
-        residual_times=t_res,
+        cauchy=_cauchy_check(fold, traj.series.h_crit, cauchy_c_hat),
+        residual_times=t_snap,
         residuals={"interp_gap_rel": interp_rel, "embed_slack_rel": embed},
         target=target,
         max_advection_pairing=(

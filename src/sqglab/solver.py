@@ -391,7 +391,20 @@ def _norm_series(times, rows):
     return NormSeries(t, l2, h_alpha, h_crit_hom, np.sqrt(l2sq + hcsq), h_high, d_l2, d_h)
 
 
-def simulate(theta0, cfg):
+def _planned_snapshots(cfg):
+    """The snapshots a run of ``cfg`` takes when the CFL bound shortens no step.
+
+    It replays the loop's time arithmetic and counts by its sample and snapshot rules.
+    """
+    t, steps = 0.0, 0
+    while t < cfg.t_end * (1.0 - 1e-12):
+        t += min(cfg.dt, cfg.t_end - t)
+        steps += 1
+    samples = -(-steps // cfg.output_every) + 1
+    return -(-(samples - 1) // cfg.snapshot_every) + 1 if cfg.snapshot_every else 0
+
+
+def simulate(theta0, cfg, *, _on_snapshot=None):
     """Advance theta0 to cfg.t_end, sampling norms every ``output_every`` steps.
 
     For nonlinear runs the initial field is dealiased first, which keeps the
@@ -411,6 +424,10 @@ def simulate(theta0, cfg):
     the sampled squared norms, summed in sample order.  With
     ``track_cancellation`` the tendency evaluated for the pairing at a
     sample is reused as the first RK4 stage of the next step.
+
+    ``_on_snapshot``, private to :func:`sqglab.decay.decay_experiment`, is
+    called as ``(t, field)`` in place of storing each snapshot, so that
+    experiment's record, and a :class:`BlowupError`'s partial one, carry none.
     """
     lat = theta0.lattice
     if lat.n != cfg.n or lat.box_len != cfg.box_len:
@@ -446,8 +463,11 @@ def simulate(theta0, cfg):
                     pairing = abs(float(_half_pairings(lat, k1[0], coeffs, 0.0)))
                     cancel.append(pairing / (math.sqrt(sq[0]) * (sq[0] + sq[4])))
             if cfg.snapshot_every and (len(times) % cfg.snapshot_every == 0 or last):
-                snapshot_times.append(t)
-                snapshots.append(_from_half(lat, coeffs))
+                if _on_snapshot is None:
+                    snapshot_times.append(t)
+                    snapshots.append(_from_half(lat, coeffs))
+                else:
+                    _on_snapshot(t, _from_half(lat, coeffs))
             times.append(t)
             rows.append(sq[:4])
             h_now = math.sqrt(sq[0] + sq[2])
