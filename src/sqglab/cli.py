@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -41,12 +42,13 @@ from .solver import (
     _CONFIG_RULES,
     BlowupError,
     SolverConfig,
+    _write_snapshots,
     blowup_monitor,
     energy_ledger,
     initial_field,
     simulate,
 )
-from .spectral import _check_fields, _checked, _Open, make_lattice
+from .spectral import _check_fields, _checked, _from_half, _Open, make_lattice
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -200,26 +202,49 @@ def _run(cfg, outdir):
         raise abort
 
 
-def _write_run_outputs(outdir, record, manifest):
+class _Spill:
+    """``simulate``'s ``_on_snapshot`` for the CLI: each snapshot's half spectrum
+    is appended to ``file``, an anonymous temporary file, and its time to
+    ``times``, so a run holds no field for ``snapshots.npz``."""
+
+    def __init__(self, file, theta0):
+        self.file, self.times = file, []
+        self.lattice, self.shape = theta0.lattice, theta0.half.shape
+
+    def __call__(self, t, field):
+        self.file.write(field.half)
+        self.times.append(t)
+
+    def fields(self):
+        """The spilled snapshots in order, read back one at a time."""
+        self.file.seek(0)
+        half = np.empty(self.shape, dtype=complex)
+        for _ in self.times:
+            self.file.readinto(half)
+            yield _from_half(self.lattice, half)
+
+
+def _write_run_outputs(outdir, record, manifest, spill):
     if record.cancellation is not None:
         manifest.stats["max_advection_pairing"] = float(record.cancellation.max())
     series_path = os.path.join(outdir, "series.csv")
     record.series.to_csv(series_path)
     manifest.outputs.append(series_path)
-    if record.snapshots:
+    if spill.times:
         snap_path = os.path.join(outdir, "snapshots.npz")
-        record.save_snapshots(snap_path)
+        _write_snapshots(snap_path, spill.times, spill.fields(), record.config)
         manifest.outputs.append(snap_path)
 
 
 def cmd_simulate(args):
     cfg, checks = load_config(args.config, args.set or ())
     outdir = args.out or "sqglab-run"
-    with _run(cfg, outdir) as (theta0, manifest):
+    with _run(cfg, outdir) as (theta0, manifest), tempfile.TemporaryFile(dir=outdir) as file:
+        spill = _Spill(file, theta0)
         try:
-            record = simulate(theta0, cfg)
+            record = simulate(theta0, cfg, _on_snapshot=spill)
         except BlowupError as exc:  # a CflError too; each keeps the partial record
-            _write_run_outputs(outdir, exc.record, manifest)
+            _write_run_outputs(outdir, exc.record, manifest, spill)
             raise
         ledger = energy_ledger(record, tol_l2=checks.tol_l2, tol_h=checks.tol_h)
         monitor = blowup_monitor(record)
@@ -229,7 +254,7 @@ def cmd_simulate(args):
             "ledger_h": ledger.h_ok,
             "dissipation_finite": monitor.finite,
         }
-        _write_run_outputs(outdir, record, manifest)
+        _write_run_outputs(outdir, record, manifest, spill)
 
     print(
         f"simulate: {len(record.series)} samples to t={record.times[-1]:g}; "

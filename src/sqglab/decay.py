@@ -30,7 +30,7 @@ import numpy as np
 
 from .lemmas import EnsembleSpec, estimate_constant
 from .norms import _shells, _sq_norms, hom_norm, inhom_norm, interpolation_gap, shell_spectrum
-from .solver import _planned_snapshots, _write_csv, simulate, smallness_gate
+from .solver import _planned_snapshots, _with_room, _write_csv, simulate, smallness_gate
 # high_pass and low_pass are unused here, bound only because perfbench/spans.py wraps them
 from .spectral import _Open, _checked, high_pass, low_pass  # noqa: F401
 
@@ -73,13 +73,14 @@ class _Fold:
     tiny high tail keeps its digits); the interpolation residual at ``alpha``;
     and every s-th half spectrum, s = ceil(planned / 64), for the Cauchy check.
     Where a 65th would be kept (more snapshots than planned), s doubles and
-    every other kept one is dropped.
+    every other kept one is dropped.  The floats are one row per snapshot of
+    one array, sized for ``planned`` rows and doubled when more come.
     """
 
     def __init__(self, lattice, deltas=None, orders=(), alpha=None, planned=None):
-        self.lattice, self.alpha, self.cut = lattice, alpha, None
-        self.times, self.low, self.high, self.interp, self.kept = [], [], [], [], []
+        self.lattice, self.alpha, self.cut, self.kept, self.count = lattice, alpha, None, [], 0
         self.stride = None if planned is None else max(1, -(-planned // _CAUCHY_MAX))
+        self.bands_shape = (2, 0, len(orders))
         if deltas is not None:
             deltas = np.asarray(deltas, dtype=float)
             if deltas.size == 0:
@@ -90,32 +91,46 @@ class _Fold:
             self.cut = np.searchsorted(radii, deltas)
             self.powers = radii[:, None] ** (2.0 * np.asarray(orders, dtype=float))
             self.zero = np.zeros((1, len(orders)))
+            self.bands_shape = (2, deltas.size, len(orders))
+        # a row: t, the interpolation residual, then the low and high bands
+        self.rows = np.empty((planned or 1, 2 + math.prod(self.bands_shape)))
+
+    @property
+    def times(self):
+        return self.rows[: self.count, 0]
+
+    @property
+    def interp(self):
+        return self.rows[: self.count, 1]
 
     def __call__(self, t, f):
+        self.rows = _with_room(self.rows, self.count)
+        row = self.rows[self.count]
+        row[0] = t
         if self.cut is not None:
-            if not self.times:
+            if self.count == 0:
                 self.theta0_l2 = hom_norm(f, 0.0)
             terms = shell_spectrum(f)[1][:, None] * self.powers
-            self.low.append(np.vstack([self.zero, np.cumsum(terms, axis=0)])[self.cut])
-            rows = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], self.zero])
-            self.high.append(rows[self.cut])
+            low, high = row[2:].reshape(self.bands_shape)
+            low[:] = np.vstack([self.zero, np.cumsum(terms, axis=0)])[self.cut]
+            high[:] = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], self.zero])[self.cut]
         if self.alpha is not None:
-            rel = 0.0
+            row[1] = 0.0
             if hom_norm(f, 0.0) != 0.0:
                 gap = interpolation_gap(f, self.alpha)
                 rhs = gap + hom_norm(f, 2.0 - 2.0 * self.alpha)
-                rel = gap / rhs if rhs > 0 else 0.0
-            self.interp.append(rel)
-        if self.stride is not None and len(self.times) % self.stride == 0:
+                row[1] = gap / rhs if rhs > 0 else 0.0
+        if self.stride is not None and self.count % self.stride == 0:
             if len(self.kept) == _CAUCHY_MAX:
                 del self.kept[1::2]
                 self.stride *= 2
             self.kept.append((t, f.half))
-        self.times.append(t)
+        self.count += 1
 
     def bands(self):
         """The ``(low, high)`` band norms, each shaped (snapshots, cutoffs, orders)."""
-        return np.array(self.low), np.array(self.high)
+        bands = self.rows[: self.count, 2:].reshape(self.count, *self.bands_shape)
+        return bands[:, 0], bands[:, 1]
 
 
 def _replay(times, snapshots, **parts):
@@ -537,7 +552,7 @@ def decay_experiment(
     # step-1 occupation: time above threshold for each high-frequency tail
     l2_0 = float(traj.series.l2[0])
     occupations_low = []
-    t_snap = np.asarray(fold.times)
+    t_snap = fold.times.copy()
     first_good = 0.0
     if l2_0 > 0:
         eps_l2 = occupation_fraction * l2_0
@@ -560,7 +575,7 @@ def decay_experiment(
             (2.0 - cfg.alpha) / (1.0 - cfg.alpha),
         )
 
-    interp_rel, embed = np.array(fold.interp), _embedding(high, cfg.alpha)
+    interp_rel, embed = fold.interp.copy(), _embedding(high, cfg.alpha)
 
     return DecayReport(
         gate_passed=gate.passed,

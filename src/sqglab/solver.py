@@ -15,6 +15,8 @@ modeling assumptions.
 from __future__ import annotations
 
 import math
+import os
+import zipfile
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from .spectral import (
     _check_fields,
     _checked,
     _from_half,
+    _full_layout,
     _half_columns,
     _lattice_size,
     dealias,
@@ -295,17 +298,46 @@ class TrajectoryRecord:
         return self.series.times
 
     def save_snapshots(self, path):
-        """Dump stored fields as one .npz: t, coeffs, n, box_len, alpha."""
+        """Dump stored fields as one .npz: t, coeffs, n, box_len, alpha (see _write_snapshots)."""
         if not self.snapshots:
             raise ValueError("no snapshots were recorded")
-        np.savez(
-            path,
-            t=np.asarray(self.snapshot_times, dtype=float),
-            coeffs=np.stack([f.coeffs for f in self.snapshots]),
-            n=self.config.n,
-            box_len=self.config.box_len,
-            alpha=self.config.alpha,
-        )
+        _write_snapshots(path, self.snapshot_times, self.snapshots, self.config)
+
+
+def _write_snapshots(path, times, snapshots, cfg):
+    """Write ``snapshots.npz`` byte for byte as ``np.savez`` does, one field at a time.
+
+    The members are t, coeffs, n, box_len and alpha, in that order, stored
+    and zip64 with np.savez's ``.npy`` headers; a path that does not end in
+    ``.npz`` gets the suffix.  ``coeffs`` is the full (m, n, n) layout of the
+    m = len(times) fields that ``snapshots`` yields: each field's layout is
+    built and written before the next field is read, and none is kept, so no
+    field caches it and no stack is formed.
+    """
+    if not hasattr(path, "write"):
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+    n = cfg.n
+    layout = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
+        "fortran_order": False,
+        "shape": (len(times), n, n),
+    }
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+
+        def member(name):
+            return archive.open(f"{name}.npy", "w", force_zip64=True)
+
+        with member("t") as fid:
+            np.lib.format.write_array(fid, np.asarray(times, dtype=float))
+        with member("coeffs") as fid:
+            np.lib.format.write_array_header_1_0(fid, layout)
+            for f in snapshots:
+                fid.write(_full_layout(f))
+        for name in ("n", "box_len", "alpha"):
+            with member(name) as fid:
+                np.lib.format.write_array(fid, np.asanyarray(getattr(cfg, name)))
 
 
 class _Stepper:
@@ -381,7 +413,7 @@ def _norm_series(times, rows):
     D_L2 and D_H are cumulative trapezoids over the squared norms they
     integrate, summed in sample order (``np.cumsum`` adds in sequence).
     """
-    t = np.asarray(times)
+    t = np.array(times)
     l2sq, hasq, hcsq, hhsq = squares = np.asarray(rows).T
     l2, h_alpha, h_crit_hom, h_high = np.sqrt(squares)
     d_l2, d_h = (
@@ -402,6 +434,15 @@ def _planned_snapshots(cfg):
         steps += 1
     samples = -(-steps // cfg.output_every) + 1
     return -(-(samples - 1) // cfg.snapshot_every) + 1 if cfg.snapshot_every else 0
+
+
+def _with_room(rows, count):
+    """``rows``, or its first ``count`` rows in an array twice as long, so that row ``count`` fits."""
+    if count < len(rows):
+        return rows
+    grown = np.empty((2 * len(rows), *rows.shape[1:]))
+    grown[:count] = rows[:count]
+    return grown
 
 
 def simulate(theta0, cfg, *, _on_snapshot=None):
@@ -425,9 +466,17 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
     ``track_cancellation`` the tendency evaluated for the pairing at a
     sample is reused as the first RK4 stage of the next step.
 
-    ``_on_snapshot``, private to :func:`sqglab.decay.decay_experiment`, is
-    called as ``(t, field)`` in place of storing each snapshot, so that
-    experiment's record, and a :class:`BlowupError`'s partial one, carry none.
+    The samples are rows of one float array, sized for ceil(t_end / dt) + 1
+    steps and doubled when more come.  A run with no CFL-shortened step
+    takes at most that many: the rounding of its sum of steps moves the
+    count by less than one step below :data:`MAX_STEPS`, plus a tiny last
+    step where the sum falls short of t_end.
+
+    ``_on_snapshot``, when given, is called as ``(t, field)`` in place of
+    storing each snapshot, so the record, and a :class:`BlowupError`'s
+    partial one, carry none.  :func:`sqglab.decay.decay_experiment` folds
+    each snapshot through it, and ``sqglab simulate`` spills each one to a
+    temporary file for the snapshot writer.
     """
     lat = theta0.lattice
     if lat.n != cfg.n or lat.box_len != cfg.box_len:
@@ -442,8 +491,11 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
     if cfg.track_cancellation:
         orders += (1.0,)
 
-    times, rows, snapshot_times, snapshots = [], [], [], []
-    cancel = [] if cfg.track_cancellation else None
+    # one row per sample: t, the four squared norms, then the pairing
+    steps = math.ceil(cfg.t_end / cfg.dt) + 1
+    samples = np.empty((-(-steps // cfg.output_every) + 1, 5 + cfg.track_cancellation))
+    count = 0
+    snapshot_times, snapshots = [], []
     t = 0.0
     step_index = 0
     k1 = None  # (tendency, max|u|) at the current state, once evaluated
@@ -453,23 +505,24 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
         last = t >= horizon
         if step_index % cfg.output_every == 0 or last:
             sq = _sq_norms(lat, coeffs, orders).tolist()
-            if cancel is not None:
+            samples = _with_room(samples, count)
+            row = samples[count]
+            row[:5] = t, *sq[:4]
+            if cfg.track_cancellation:
                 # advection pairing normalized by ||theta||_{L2} ||theta||_{H1}^2;
                 # zero to round-off when dealiasing is exact
                 k1 = stepper.tendency(coeffs, True)
-                if k1[0] is None or sq[0] == 0.0:
-                    cancel.append(0.0)
-                else:
+                row[5] = 0.0
+                if k1[0] is not None and sq[0] != 0.0:
                     pairing = abs(float(_half_pairings(lat, k1[0], coeffs, 0.0)))
-                    cancel.append(pairing / (math.sqrt(sq[0]) * (sq[0] + sq[4])))
-            if cfg.snapshot_every and (len(times) % cfg.snapshot_every == 0 or last):
+                    row[5] = pairing / (math.sqrt(sq[0]) * (sq[0] + sq[4]))
+            if cfg.snapshot_every and (count % cfg.snapshot_every == 0 or last):
                 if _on_snapshot is None:
                     snapshot_times.append(t)
                     snapshots.append(_from_half(lat, coeffs))
                 else:
                     _on_snapshot(t, _from_half(lat, coeffs))
-            times.append(t)
-            rows.append(sq[:4])
+            count += 1
             h_now = math.sqrt(sq[0] + sq[2])
             if step_index == 0:
                 if not math.isfinite(h_now):  # it would set a ceiling no norm exceeds
@@ -513,14 +566,15 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
             abort = (BlowupError, "non-finite", f"non-finite coefficients at t={t:g}")
             break
 
+    samples = samples[:count]
     record = TrajectoryRecord(
         config=replace(cfg),
-        series=_norm_series(times, rows),
+        series=_norm_series(samples[:, 0], samples[:, 1:5]),
         snapshot_times=snapshot_times,
         snapshots=snapshots,
         initial=theta.copy(),
         final=_from_half(lat, coeffs),
-        cancellation=None if cancel is None else np.asarray(cancel),
+        cancellation=samples[:, 5].copy() if cfg.track_cancellation else None,
         aborted=abort is not None,
         abort_reason=abort[1] if abort else "",
     )

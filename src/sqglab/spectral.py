@@ -320,6 +320,11 @@ class SpectralField:
             raise ValueError("fields live on different lattices")
 
 
+def _full_layout(f):
+    """``f.coeffs`` without keeping it on ``f``: built anew unless ``f`` already keeps it."""
+    return _expand_half(f.half, f.lattice.n) if f._full is None else f._full
+
+
 def _from_half(lattice, half):
     """Field holding a copy of the half spectrum ``half``, which is not modified.
 

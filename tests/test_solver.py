@@ -492,6 +492,48 @@ class TestSampleBlock:
         assert np.array_equal(record.final.coeffs, theta0.coeffs)
 
 
+def grown_sample_rows(monkeypatch, cfg):
+    """The sample counts at which ``simulate`` doubled its sample rows for ``cfg``."""
+    import sqglab.solver
+
+    grown = []
+    with_room = sqglab.solver._with_room
+
+    def spy(rows, count):
+        out = with_room(rows, count)
+        if out is not rows:
+            grown.append(count)
+        return out
+
+    monkeypatch.setattr(sqglab.solver, "_with_room", spy)
+    simulate(initial_field(cfg), cfg)
+    return grown
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize(
+        "dt, t_end",
+        [
+            (0.02, 0.4),
+            (0.03, 0.1),
+            (0.1, 0.3),  # 0.1 + 0.1 + 0.1 > 0.3
+            (0.07, 0.07),
+            (0.05, 0.05 + 1e-13),  # a tiny last step past the horizon's tolerance
+            (0.05, 0.05 + 1e-14),
+            (1e-4, 1.0),  # 10,000 steps, whose sum drifts from t_end
+        ],
+    )
+    @pytest.mark.parametrize("output_every", [1, 3])
+    def test_a_fixed_step_run_never_grows_them(self, monkeypatch, dt, t_end, output_every):
+        cfg = small_config(n=8, dt=dt, t_end=t_end, nonlinear=False, output_every=output_every)
+        assert grown_sample_rows(monkeypatch, cfg) == []
+
+    def test_a_cfl_shortened_run_doubles_them(self, monkeypatch):
+        cfg = small_config(init_norm=200.0, t_end=0.37, output_every=3)
+        grown = grown_sample_rows(monkeypatch, cfg)
+        assert grown and grown == [grown[0] * 2**i for i in range(len(grown))]
+
+
 PIN_MODES = [[1, 0, 1.0, 0.0], [2, -1, 0.5, 1.0]]
 
 
