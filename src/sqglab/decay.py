@@ -18,7 +18,10 @@ each snapshot to its band norms at every cutoff and order (0, alpha, -sigma),
 from one shell spectrum, which the splitting ledger, the Duhamel integral,
 the step-1 occupation series and the embedding slack read.
 :func:`decay_experiment` folds each snapshot as :func:`simulate` makes it and
-stores none, so its memory does not grow with the snapshot count.
+stores none, so its memory does not grow with the snapshot count.  theta0's
+L2, the homogeneous terminal ratio and the interpolation residual are read
+from the run's series, at each snapshot's sample: the series norms the raw
+state, of which a snapshot is a completed copy that can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lemmas import EnsembleSpec, estimate_constant
-from .norms import _shells, _sq_norms, hom_norm, inhom_norm, interpolation_gap, shell_spectrum
+from .norms import _interpolation_slack, _shells, _sq_norms, inhom_norm, shell_spectrum
 from .solver import _planned_snapshots, _with_room, _write_csv, simulate, smallness_gate
-# high_pass and low_pass are unused here, bound only because perfbench/spans.py wraps them
+# hom_norm, interpolation_gap, high_pass and low_pass are unused here, bound
+# only because perfbench/spans.py wraps them
+from .norms import hom_norm, interpolation_gap  # noqa: F401
 from .spectral import _Open, _checked, high_pass, low_pass  # noqa: F401
 
 __all__ = [
@@ -69,16 +74,17 @@ class _Fold:
 
     Each call keeps ``t`` and what is asked for: the squared Hdot^s norms of
     the low (|xi| < delta) and high parts at every cutoff of ``deltas`` and
-    order of ``orders``, sums over their shells (a prefix and a suffix, so a
-    tiny high tail keeps its digits); the interpolation residual at ``alpha``;
-    and every s-th half spectrum, s = ceil(planned / 64), for the Cauchy check.
-    Where a 65th would be kept (more snapshots than planned), s doubles and
-    every other kept one is dropped.  The floats are one row per snapshot of
-    one array, sized for ``planned`` rows and doubled when more come.
+    order of ``orders``, sums over the shells of one shell spectrum (a prefix
+    and a suffix, so a tiny high tail keeps its digits); and every s-th half
+    spectrum, s = ceil(planned / 64), for the Cauchy check.  Where a 65th
+    would be kept (more snapshots than planned), s doubles and every other
+    kept one is dropped.  The floats are one row per snapshot of one array,
+    sized for ``planned`` rows and doubled when more come.  No other norm is
+    taken: those the run's series holds are read from it.
     """
 
-    def __init__(self, lattice, deltas=None, orders=(), alpha=None, planned=None):
-        self.lattice, self.alpha, self.cut, self.kept, self.count = lattice, alpha, None, [], 0
+    def __init__(self, lattice, deltas=None, orders=(), planned=None):
+        self.lattice, self.cut, self.kept, self.count = lattice, None, [], 0
         self.stride = None if planned is None else max(1, -(-planned // _CAUCHY_MAX))
         self.bands_shape = (2, 0, len(orders))
         if deltas is not None:
@@ -92,34 +98,22 @@ class _Fold:
             self.powers = radii[:, None] ** (2.0 * np.asarray(orders, dtype=float))
             self.zero = np.zeros((1, len(orders)))
             self.bands_shape = (2, deltas.size, len(orders))
-        # a row: t, the interpolation residual, then the low and high bands
-        self.rows = np.empty((planned or 1, 2 + math.prod(self.bands_shape)))
+        # a row: t, then the low and high bands
+        self.rows = np.empty((planned or 1, 1 + math.prod(self.bands_shape)))
 
     @property
     def times(self):
         return self.rows[: self.count, 0]
-
-    @property
-    def interp(self):
-        return self.rows[: self.count, 1]
 
     def __call__(self, t, f):
         self.rows = _with_room(self.rows, self.count)
         row = self.rows[self.count]
         row[0] = t
         if self.cut is not None:
-            if self.count == 0:
-                self.theta0_l2 = hom_norm(f, 0.0)
             terms = shell_spectrum(f)[1][:, None] * self.powers
-            low, high = row[2:].reshape(self.bands_shape)
+            low, high = row[1:].reshape(self.bands_shape)
             low[:] = np.vstack([self.zero, np.cumsum(terms, axis=0)])[self.cut]
             high[:] = np.vstack([np.cumsum(terms[::-1], axis=0)[::-1], self.zero])[self.cut]
-        if self.alpha is not None:
-            row[1] = 0.0
-            if hom_norm(f, 0.0) != 0.0:
-                gap = interpolation_gap(f, self.alpha)
-                rhs = gap + hom_norm(f, 2.0 - 2.0 * self.alpha)
-                row[1] = gap / rhs if rhs > 0 else 0.0
         if self.stride is not None and self.count % self.stride == 0:
             if len(self.kept) == _CAUCHY_MAX:
                 del self.kept[1::2]
@@ -129,7 +123,7 @@ class _Fold:
 
     def bands(self):
         """The ``(low, high)`` band norms, each shaped (snapshots, cutoffs, orders)."""
-        bands = self.rows[: self.count, 2:].reshape(self.count, *self.bands_shape)
+        bands = self.rows[: self.count, 1:].reshape(self.count, *self.bands_shape)
         return bands[:, 0], bands[:, 1]
 
 
@@ -222,7 +216,7 @@ def split_diagnostics(traj, delta, c_hat):
     alpha = traj.config.alpha
     orders = _ledger_orders(alpha)
     fold = _replay(traj.snapshot_times, traj.snapshots, deltas=[delta], orders=orders)
-    return _split_ledgers(fold, traj.series, [delta], alpha, c_hat, *fold.bands())[0]
+    return _split_ledgers(fold, traj.series, [delta], alpha, c_hat)[0]
 
 
 def duhamel_highfreq_bound(traj, delta, c_hat):
@@ -241,16 +235,16 @@ def duhamel_highfreq_bound(traj, delta, c_hat):
     return split.int_v_negsigma, split.m_delta
 
 
-def _split_ledgers(fold, series, deltas, alpha, c_hat, low, high):
+def _split_ledgers(fold, series, deltas, alpha, c_hat):
     """The splitting ledger at every cutoff, from a run's series and fold.
 
-    ``low`` and ``high`` are ``fold.bands()`` at ``deltas`` and
-    ``_ledger_orders(alpha)``.  The single-cutoff functions and
-    :func:`decay_experiment` all evaluate eps_delta and M_delta here.
+    The fold's bands are at ``deltas`` and ``_ledger_orders(alpha)``.  The
+    single-cutoff functions and :func:`decay_experiment` all evaluate
+    eps_delta and M_delta here.
     """
-    t = np.asarray(fold.times)
+    t, (low, high) = fold.times, fold.bands()
     sigma = 2.0 - 3.0 * alpha
-    theta0_l2 = fold.theta0_l2
+    theta0_l2 = float(series.l2[0])  # the first sample is always a snapshot
     int_ha = float(np.trapezoid(series.h_alpha**2, series.times))
     splits = []
     for j, delta in enumerate(deltas):
@@ -317,14 +311,8 @@ def occupation_report(times, values, threshold, exponent):
         raise ValueError("threshold must be positive")
     if not exponent >= 1:
         raise ValueError("exponent must be >= 1")
-    if times.size == 1:
-        weights = np.zeros(1)
-    else:
-        dt = np.diff(times)
-        weights = np.empty_like(times)
-        weights[0] = 0.5 * dt[0]
-        weights[-1] = 0.5 * dt[-1]
-        weights[1:-1] = 0.5 * (dt[:-1] + dt[1:])
+    # trapezoid weights: half the steps on either side of each sample
+    weights = 0.5 * (np.diff(times, prepend=times[0]) + np.diff(times, append=times[-1]))
     above = values > threshold
     measure = float(np.sum(weights[above]))
     bound = float(threshold ** (-exponent) * np.sum(weights * values**exponent))
@@ -520,37 +508,38 @@ def decay_experiment(
         if value is not None:
             _checked(name, value, "real", 0.0)
     _checked("occupation_fraction", occupation_fraction, "real", _Open(0.0))
+    if cfg.snapshot_every == 0:
+        raise ValueError("decay experiments need snapshots; set snapshot_every > 0")
     gate = smallness_gate(theta0, cfg)
     if not gate.passed and not force:
         raise GateError(
             f"smallness gate failed: ||theta0||_H = {gate.norm:g} "
             f">= eps0 = {gate.threshold:g} (rerun with force to override)"
         )
-    if cfg.snapshot_every == 0:
-        raise ValueError("decay experiments need snapshots; set snapshot_every > 0")
 
     lattice = theta0.lattice
     if deltas is None:
         deltas = default_delta_ladder(lattice)
-    fold = _Fold(lattice, deltas, _ledger_orders(cfg.alpha), cfg.alpha, _planned_snapshots(cfg))
+    fold = _Fold(lattice, deltas, _ledger_orders(cfg.alpha), _planned_snapshots(cfg))
     if c_hat is None:
         c_hat = estimate_split_constant(lattice, cfg.alpha)
     if cauchy_c_hat is None:
         cauchy_c_hat = estimate_cauchy_constant(lattice, cfg.alpha)
 
     traj = simulate(theta0, cfg, _on_snapshot=fold)
+    series = traj.series
     order = cfg.critical_order
     initial_norm = inhom_norm(traj.initial, order)
     terminal_norm = inhom_norm(traj.final, order)
-    h0_hom = hom_norm(traj.initial, order)
     ratio = terminal_norm / initial_norm if initial_norm > 0 else 0.0
-    ratio_hom = hom_norm(traj.final, order) / h0_hom if h0_hom > 0 else 0.0
+    h0_hom = float(series.h_crit_hom[0])
+    ratio_hom = float(series.h_crit_hom[-1]) / h0_hom if h0_hom > 0 else 0.0
 
-    low, high = fold.bands()
-    splits = _split_ledgers(fold, traj.series, deltas, cfg.alpha, c_hat, low, high)
+    high = fold.bands()[1]
+    splits = _split_ledgers(fold, series, deltas, cfg.alpha, c_hat)
 
     # step-1 occupation: time above threshold for each high-frequency tail
-    l2_0 = float(traj.series.l2[0])
+    l2_0 = float(series.l2[0])
     occupations_low = []
     t_snap = fold.times.copy()
     first_good = 0.0
@@ -565,17 +554,24 @@ def decay_experiment(
 
     # step-2 occupation: critical seminorm beyond the good time
     occupation_crit = None
-    h_hom_series = traj.series.h_crit_hom
-    if h_hom_series[0] > 0:
-        keep = traj.series.times >= first_good
+    if h0_hom > 0:
+        keep = series.times >= first_good
         occupation_crit = occupation_report(
-            traj.series.times[keep],
-            h_hom_series[keep],
-            occupation_fraction * float(h_hom_series[0]),
+            series.times[keep],
+            series.h_crit_hom[keep],
+            occupation_fraction * h0_hom,
             (2.0 - cfg.alpha) / (1.0 - cfg.alpha),
         )
 
-    interp_rel, embed = fold.interp.copy(), _embedding(high, cfg.alpha)
+    # interpolation slack over its right side, in Python floats, from the
+    # series norms at each snapshot's sample (whose time is the same float)
+    at = np.searchsorted(series.times, t_snap)
+    norms = np.column_stack((series.l2, series.h_crit_hom, series.h_high))[at].tolist()
+    interp_rel = []
+    for l2, lhs, h_high in norms:
+        gap = _interpolation_slack(l2, lhs, h_high, cfg.alpha) if l2 != 0.0 else 0.0
+        interp_rel.append(gap / (gap + lhs) if gap + lhs > 0 else 0.0)
+    interp_rel, embed = np.array(interp_rel), _embedding(high, cfg.alpha)
 
     return DecayReport(
         gate_passed=gate.passed,
@@ -589,7 +585,7 @@ def decay_experiment(
         occupation_crit=occupation_crit,
         interpolation_worst=float(np.min(interp_rel)) if len(interp_rel) else 0.0,
         embedding_worst=float(np.max(embed)) if len(embed) else 0.0,
-        cauchy=_cauchy_check(fold, traj.series.h_crit, cauchy_c_hat),
+        cauchy=_cauchy_check(fold, series.h_crit, cauchy_c_hat),
         residual_times=t_snap,
         residuals={"interp_gap_rel": interp_rel, "embed_slack_rel": embed},
         target=target,

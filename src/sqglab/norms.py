@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .spectral import _ALPHA, _checked, _half_columns, _half_symbol
+from .spectral import _ALPHA, _checked, _half_columns, _power
 
 __all__ = [
     "parseval_weight",
@@ -50,14 +50,13 @@ def _half_weight(lattice, s, homogeneous=True):
     The Parseval weight times the column weight (1 on the self-paired
     columns 0 and n/2, 2 on the others, which stand for themselves and their
     conjugate mirror) times |xi|^(2s), or times 1 + |xi|^(2s) for the
-    inhomogeneous pairing, with |xi|^(2s) read from
-    :func:`~sqglab.spectral._half_symbol`; mode (0, 0) weighs 0.  Cached
-    per lattice.
+    inhomogeneous pairing, with |xi|^(2s) from the uncached
+    :func:`~sqglab.spectral._power`; mode (0, 0) weighs 0.  Cached per lattice.
     """
     key = ("half-weight", float(s), homogeneous)
     cached = lattice._symbol_cache.get(key)
     if cached is None:
-        symbol = _half_symbol(lattice, 2.0 * s)
+        symbol = _power(lattice, 2.0 * s, full=False)
         column = np.full(symbol.shape[-1], 2.0)
         column[0] = column[-1] = 1.0
         if not homogeneous:
@@ -158,6 +157,10 @@ def interpolation_gap(theta, alpha):
     l2, lhs, high = np.sqrt(_sq_norms(theta.lattice, theta.half, orders)).tolist()
     if l2 == 0.0:
         raise ValueError("interpolation gap is undefined for the zero field")
+    return _interpolation_slack(l2, lhs, high, alpha)
+
+
+def _interpolation_slack(l2, lhs, high, alpha):
+    """:func:`interpolation_gap` from its three norms, as Python floats (libm's ``pow``)."""
     a = alpha / (2.0 - alpha)
-    rhs = l2**a * high ** (1.0 - a)
-    return rhs - lhs
+    return l2**a * high ** (1.0 - a) - lhs

@@ -458,13 +458,14 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
     loop and raises with the partial record built after it.
 
     The state advances on the rfft2 half spectrum, which is also what the
-    snapshots and the final field store.  Each pass of the loop first takes
-    the sample, if one is due (step 0 and the last step always are): the
-    squared norms, the pairing, the snapshot and the ceiling check.  Then it
-    takes one step.  The series' D_L2 and D_H are cumulative trapezoids over
-    the sampled squared norms, summed in sample order.  With
-    ``track_cancellation`` the tendency evaluated for the pairing at a
-    sample is reused as the first RK4 stage of the next step.
+    snapshots and the final field store.  The series norms the raw state; a
+    snapshot or the final field is a completed copy, whose norms can differ in
+    the last bit.  Each pass of the loop first takes the sample, if one is due
+    (step 0 and the last step always are): the squared norms, the pairing, the
+    snapshot and the ceiling check.  Then it takes one step.  The series' D_L2
+    and D_H are cumulative trapezoids over the sampled squared norms, summed
+    in sample order.  With ``track_cancellation`` the tendency evaluated for
+    the pairing at a sample is reused as the first RK4 stage of the next step.
 
     The samples are rows of one float array, sized for ceil(t_end / dt) + 1
     steps and doubled when more come.  A run with no CFL-shortened step

@@ -256,22 +256,27 @@ def _half_symbol(lat, s):
     return _cached_power(lat, s, full=False)
 
 
-def _cached_power(lat, s, full):
-    """|xi|^s from the full or the half columns of ``lat.k2``, (0, 0) at 0.
+def _power(lat, s, full):
+    """|xi|^s from the full or the half columns of ``lat.k2``, (0, 0) at 0, uncached."""
+    _checked("exponent", s, "real")
+    safe = (lat.k2 if full else _half_columns(lat.k2)).copy()
+    safe[0, 0] = 1.0
+    power = safe ** (0.5 * s)
+    power[0, 0] = 0.0
+    return power
 
-    The exponent is checked before anything is cached: a NaN key never hits
-    the cache, so an unchecked one would store one more array per call.
+
+def _cached_power(lat, s, full):
+    """:func:`_power`, cached per lattice and exponent.
+
+    :func:`_power` checks the exponent before anything is cached: a NaN key
+    never hits the cache, so an unchecked one would store one array per call.
     """
     s = float(s)
     key = s if full else ("half-symbol", s)
     cached = lat._symbol_cache.get(key)
     if cached is None:
-        _checked("exponent", s, "real")
-        safe = (lat.k2 if full else _half_columns(lat.k2)).copy()
-        safe[0, 0] = 1.0
-        cached = safe ** (0.5 * s)
-        cached[0, 0] = 0.0
-        lat._symbol_cache[key] = cached
+        cached = lat._symbol_cache[key] = _power(lat, s, full)
     return cached
 
 
@@ -489,12 +494,12 @@ def _half_multipliers(lat):
 
     ``velocity`` and ``grad`` stack the two components, shape
     (2, n, n//2 + 1), with the Nyquist row and column and mode (0, 0)
-    zeroed; the velocity reads |xi|^-1 from :func:`_half_symbol`.  ``mask``
+    zeroed; the velocity reads |xi|^-1 from :func:`_power`.  ``mask``
     is the 2/3-rule mask with mode (0, 0) removed.  Built once per lattice.
     """
     cached = lat._symbol_cache.get("half-multipliers")
     if cached is None:
-        inv = _half_symbol(lat, -1.0)
+        inv = _power(lat, -1.0, full=False)
         kx, ky = _half_columns(lat.kx), _half_columns(lat.ky)
         velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), lat.n)
         grad = _zero_nyquist(np.stack([1j * kx, 1j * ky]), lat.n)

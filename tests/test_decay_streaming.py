@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 
 import sqglab.decay
+import sqglab.norms
 from sqglab import (
     CflError,
     SolverConfig,
     decay_experiment,
+    gaussian_random_field,
     hom_norm,
     initial_field,
+    interpolation_gap,
     make_lattice,
     simulate,
     unit_mode,
@@ -51,6 +54,23 @@ class TestArgumentsAreCheckedBeforeTheRun:
         cfg = config(snapshot_every=1)
         with pytest.raises(ValueError, match="^occupation_fraction must"):
             decay_experiment(cfg, initial_field(cfg), occupation_fraction=bad)
+
+    def test_no_snapshots_with_a_failing_gate(self, monkeypatch):
+        # the gate fails here, and used to raise GateError before this check
+        monkeypatch.setattr(sqglab.decay, "simulate", no_run)
+        cfg = config(init_norm=50.0, snapshot_every=0)
+        with pytest.raises(ValueError, match="snapshot_every > 0"):
+            decay_experiment(cfg, initial_field(cfg), c_hat=1.0, cauchy_c_hat=1.0)
+
+    def test_no_snapshots_before_the_eps0_calibration(self, monkeypatch):
+        def no_gate(*args):
+            raise AssertionError("the gate ran")
+
+        monkeypatch.setattr(sqglab.decay, "smallness_gate", no_gate)
+        monkeypatch.setattr(sqglab.decay, "simulate", no_run)
+        cfg = config(eps0=None, snapshot_every=0)
+        with pytest.raises(ValueError, match="snapshot_every > 0"):
+            decay_experiment(cfg, initial_field(cfg), c_hat=1.0, cauchy_c_hat=1.0)
 
 
 class TestSnapshotHook:
@@ -100,6 +120,51 @@ class TestPlannedSnapshots:
             output_every=output_every, snapshot_every=snapshot_every,
         )
         assert _planned_snapshots(cfg) == len(simulate(initial_field(cfg), cfg).snapshots)
+
+
+class TestTheFoldTakesNoNorm:
+    def test_sixteen_cutoffs_with_the_norm_reduction_broken(self, monkeypatch):
+        lat = make_lattice(16, 2.0 * math.pi)
+        rng = np.random.default_rng(4)
+        fields = [gaussian_random_field(lat, 2.0, rng) for _ in range(5)]
+        orders = sqglab.decay._ledger_orders(ALPHA)
+        totals = [[hom_norm(f, s) ** 2 for s in orders] for f in fields]
+
+        def broken(*args):
+            raise AssertionError("the fold took a norm")
+
+        monkeypatch.setattr(sqglab.norms, "_sq_norms", broken)
+        monkeypatch.setattr(sqglab.decay, "_sq_norms", broken)
+        deltas = [0.5 * 2.0 ** (i / 3.0) for i in range(16)]
+        fold = sqglab.decay._Fold(lat, deltas, orders, planned=2)
+        for i, f in enumerate(fields):
+            fold(0.1 * i, f)
+        low, high = fold.bands()
+        assert low.shape == high.shape == (5, 16, 3) and len(fold.kept) == 5
+        for j in range(16):
+            np.testing.assert_allclose(low[:, j] + high[:, j], totals, rtol=1e-12)
+
+
+class TestResidualsFromTheSeries:
+    """The series' norms give the snapshots' interpolation residual and ratio."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("snapshot_every", [1, 3])
+    @pytest.mark.parametrize("output_every", [1, 2])
+    def test_they_equal_the_norms_of_the_stored_snapshots(self, n, snapshot_every, output_every):
+        cfg = config(n=n, snapshot_every=snapshot_every, output_every=output_every)
+        theta0 = initial_field(cfg)
+        stored = simulate(theta0, cfg)
+        report = decay_experiment(cfg, theta0, c_hat=1.0, cauchy_c_hat=1.0, target=math.inf)
+        assert report.residual_times.tolist() == stored.snapshot_times
+        expected = []
+        for snap in stored.snapshots:
+            gap = interpolation_gap(snap, ALPHA)
+            expected.append(gap / (gap + hom_norm(snap, 2.0 - 2.0 * ALPHA)))
+        assert report.residuals["interp_gap_rel"].tolist() == expected
+        order = cfg.critical_order
+        ratio = hom_norm(stored.final, order) / hom_norm(stored.initial, order)
+        assert report.terminal_ratio_hom == ratio
 
 
 class TestCauchySubset:

@@ -206,6 +206,44 @@ class TestHalfSymbol:
         assert arrays
         assert all(a.shape[-2:] != (n, n) for a in arrays)
 
+    def test_a_run_keeps_no_symbol_that_only_built_a_cached_array(self):
+        # the norm weights and the Riesz velocity read one power each and cache
+        # what they build from it; only the stepper's dissipation symbol stays
+        n = 32
+        lat = make_lattice(n, TWO_PI)
+        theta0 = multi_mode_field(lat, [(1, 0, 1.0, 0.0), (2, 3, 0.5, 1.0)])
+        cfg = SolverConfig(
+            alpha=0.25, n=n, dt=0.01, t_end=0.1, snapshot_every=2,
+            track_cancellation=True, init_kind="multi_mode", init_norm_rel=None,
+        )
+        simulate(theta0, cfg)
+        cache = lat._symbol_cache
+        assert ("half-weight", 1.75, True) in cache and "half-multipliers" in cache
+        halves = {k for k in cache if isinstance(k, tuple) and k[0] == "half-symbol"}
+        assert halves == {("half-symbol", 0.5)}
+
+    @pytest.mark.parametrize("n", [8, 10, 64])
+    @pytest.mark.parametrize("box_len", [TWO_PI, 3.7])
+    def test_weights_and_multipliers_equal_those_of_the_cached_symbol(self, n, box_len):
+        from sqglab.norms import _half_weight, parseval_weight
+        from sqglab.spectral import _half_columns, _half_multipliers, _zero_nyquist
+
+        lat = make_lattice(n, box_len)
+        column = np.full(n // 2 + 1, 2.0)
+        column[0] = column[-1] = 1.0
+        for s in (0.0, 0.25, 1.0, 1.5, 1.75, -0.5):
+            symbol = _half_symbol(lat, 2.0 * s)
+            expected = parseval_weight(lat) * column * symbol
+            assert _half_weight(lat, s).tobytes() == expected.tobytes()
+            inhom = 1.0 + symbol
+            inhom[0, 0] = 0.0
+            expected = parseval_weight(lat) * column * inhom
+            assert _half_weight(lat, s, homogeneous=False).tobytes() == expected.tobytes()
+        inv = _half_symbol(lat, -1.0)
+        kx, ky = _half_columns(lat.kx), _half_columns(lat.ky)
+        velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), n)
+        assert _half_multipliers(lat)[0].tobytes() == velocity.tobytes()
+
 
 class TestRieszVelocity:
     def test_cos_x1_gives_minus_sin_in_second_component(self):
