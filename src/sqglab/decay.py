@@ -19,9 +19,10 @@ from one shell spectrum, which the splitting ledger, the Duhamel integral,
 the step-1 occupation series and the embedding slack read.
 :func:`decay_experiment` folds each snapshot as :func:`simulate` makes it and
 stores none, so its memory does not grow with the snapshot count.  theta0's
-L2, the homogeneous terminal ratio and the interpolation residual are read
-from the run's series, at each snapshot's sample: the series norms the raw
-state, of which a snapshot is a completed copy that can differ in the last bit.
+L2, the initial and terminal critical norms, the homogeneous terminal ratio
+and the interpolation residual are read from the run's series, at each
+snapshot's sample: the series norms the raw state, of which a snapshot is a
+completed copy that can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lemmas import EnsembleSpec, estimate_constant
-from .norms import _interpolation_slack, _shells, _sq_norms, inhom_norm, shell_spectrum
+from .norms import _interpolation_slack, _shells, _sq_norms, shell_spectrum
 from .solver import _planned_snapshots, _with_room, _write_csv, simulate, smallness_gate
-# hom_norm, interpolation_gap, high_pass and low_pass are unused here, bound
-# only because perfbench/spans.py wraps them
-from .norms import hom_norm, interpolation_gap  # noqa: F401
+# hom_norm, inhom_norm, interpolation_gap, high_pass and low_pass are unused
+# here, bound only because perfbench/spans.py wraps them
+from .norms import hom_norm, inhom_norm, interpolation_gap  # noqa: F401
 from .spectral import _Open, _checked, high_pass, low_pass  # noqa: F401
 
 __all__ = [
@@ -528,9 +529,7 @@ def decay_experiment(
 
     traj = simulate(theta0, cfg, _on_snapshot=fold)
     series = traj.series
-    order = cfg.critical_order
-    initial_norm = inhom_norm(traj.initial, order)
-    terminal_norm = inhom_norm(traj.final, order)
+    initial_norm, terminal_norm = float(series.h_crit[0]), float(series.h_crit[-1])
     ratio = terminal_norm / initial_norm if initial_norm > 0 else 0.0
     h0_hom = float(series.h_crit_hom[0])
     ratio_hom = float(series.h_crit_hom[-1]) / h0_hom if h0_hom > 0 else 0.0

@@ -30,6 +30,7 @@ from .spectral import (
     _advection_coeffs,
     _check_fields,
     _checked,
+    _drop_work_buffers,
     _from_half,
     _full_layout,
     _half_symbol,
@@ -347,6 +348,18 @@ class _Stepper:
     Only the exponential multipliers of the configured step ``dt`` are
     cached; a step shortened by the CFL bound or by the horizon computes its
     own, so memory does not grow with the number of short steps.
+
+    A step allocates no array of that size: the stepper owns three stage
+    buffers (k4 takes that of k3, which the combination has read by then),
+    one buffer for a term of the combination and two state buffers, and the
+    kernel writes each tendency into its stage buffer through the work
+    buffers of :func:`sqglab.spectral._quadratic_coeffs`.  :meth:`advance`
+    forms the stage arguments in the state buffer it did not read and
+    returns the new state there, so a state it returns stays valid through
+    the next step and is overwritten by the one after.  The IF-RK4
+    combination is evaluated with ``out=`` ufuncs in the order of the
+    expressions written in :meth:`advance`, so the values are those of the
+    allocating form, bit for bit.
     """
 
     def __init__(self, lattice, alpha, nonlinear, dt):
@@ -355,6 +368,12 @@ class _Stepper:
         self.dt = dt
         self.symbol = _half_symbol(lattice, 2.0 * alpha)
         self._factors = {}
+        shape = self.symbol.shape
+        # a linear run writes only the states
+        self._stages = [np.empty(shape, complex) for _ in range(3)]
+        self._term = np.empty(shape, complex)
+        self._states = [np.empty(shape, complex) for _ in range(2)]
+        self._twice_half = np.empty(shape)
 
     def factors(self, dt):
         cached = self._factors.get(dt)
@@ -364,26 +383,60 @@ class _Stepper:
                 self._factors[dt] = cached
         return cached
 
-    def tendency(self, coeffs, umax=False):
-        """-u.grad theta at the given state; with ``umax`` also max|u| there."""
+    def tendency(self, coeffs, umax=False, out=None):
+        """-u.grad theta at the given state; with ``umax`` also max|u| there.
+
+        The tendency is written into ``out``, by default the first stage
+        buffer, which the next such call overwrites.
+        """
         if not self.nonlinear:
             return (None, 0.0) if umax else None
-        adv, (u1, u2) = _advection_coeffs(self.lattice, coeffs, coeffs)
-        np.negative(adv, out=adv)
+        out = self._stages[0] if out is None else out
+        adv, velocity = _advection_coeffs(self.lattice, coeffs, coeffs, out)
+        # complex negation flips the sign of both parts; numpy does it faster
+        # on the float view
+        np.negative(adv.view(float), out=adv.view(float))
         if not umax:
             return adv
-        return adv, math.sqrt(float(np.max(u1 * u1 + u2 * u2)))
+        # u1 * u1 + u2 * u2, formed in the kernel's velocity buffer, which
+        # its next call rewrites
+        u1, u2 = np.multiply(velocity, velocity, out=velocity)
+        return adv, math.sqrt(float(np.max(np.add(u1, u2, out=u1))))
 
     def advance(self, coeffs, dt, k1=None):
+        """The state one IF-RK4 step of ``dt`` after ``coeffs``, in a state buffer.
+
+        ``k1``, when given, is the tendency at ``coeffs``.  The value is that
+        of ``full * coeffs + (dt / 6) * (full * k1 + 2 * half * (k2 + k3) + k4)``
+        with k2 = T(half * (coeffs + (dt / 2) * k1)),
+        k3 = T(half * coeffs + (dt / 2) * k2) and
+        k4 = T(full * coeffs + dt * (half * k3)), each product and sum
+        formed in that order.
+        """
         full, half = self.factors(dt)
+        new = self._states[coeffs is self._states[0]]
         if not self.nonlinear:
-            return full * coeffs
+            return np.multiply(full, coeffs, out=new)
         if k1 is None:
             k1 = self.tendency(coeffs)
-        k2 = self.tendency(half * (coeffs + (0.5 * dt) * k1))
-        k3 = self.tendency(half * coeffs + (0.5 * dt) * k2)
-        k4 = self.tendency(full * coeffs + dt * (half * k3))
-        return full * coeffs + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+        _, k2, k3 = self._stages
+        # the stage arguments are formed in the new state's buffer
+        np.multiply(0.5 * dt, k1, out=new)
+        np.multiply(half, np.add(coeffs, new, out=new), out=new)
+        self.tendency(new, out=k2)
+        term = np.multiply(0.5 * dt, k2, out=self._term)
+        np.add(np.multiply(half, coeffs, out=new), term, out=new)
+        self.tendency(new, out=k3)
+        np.multiply(dt, np.multiply(half, k3, out=term), out=term)
+        np.add(np.multiply(full, coeffs, out=new), term, out=new)
+        # full * k1 + 2 * half * (k2 + k3) before k4 is known, so that k4
+        # takes the buffer of k3
+        np.multiply(full, k1, out=term)
+        twice_half = np.multiply(2.0, half, out=self._twice_half)
+        np.add(term, np.multiply(twice_half, np.add(k2, k3, out=k2), out=k2), out=term)
+        k4 = self.tendency(new, out=k3)
+        np.multiply(dt / 6.0, np.add(term, k4, out=term), out=term)
+        return np.add(np.multiply(full, coeffs, out=new), term, out=new)
 
 
 def nonlinear_term(theta):
@@ -466,6 +519,9 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
     and D_H are cumulative trapezoids over the sampled squared norms, summed
     in sample order.  With ``track_cancellation`` the tendency evaluated for
     the pairing at a sample is reused as the first RK4 stage of the next step.
+    The steps write into work buffers (:class:`_Stepper`); when the loop ends
+    the kernel's ones are dropped from the lattice, so that their memory does
+    not outlive the run.
 
     The samples are rows of one float array, sized for ceil(t_end / dt) + 1
     steps and doubled when more come.  A run with no CFL-shortened step
@@ -484,7 +540,9 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
         raise ValueError("initial field lattice does not match the configuration")
 
     theta = dealias(theta0) if cfg.nonlinear else theta0.copy()
-    coeffs = theta.half  # never written in place; each step makes a new array
+    # theta.half is never written; the stepper returns each new state in one
+    # of its two state buffers, which the step after next overwrites
+    coeffs = theta.half
     stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
     # squared L2, Hdot^a, Hdot^(2-2a), Hdot^(2-a) norms, then Hdot^1 for the
     # pairing's normalisation
@@ -567,6 +625,7 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
             abort = (BlowupError, "non-finite", f"non-finite coefficients at t={t:g}")
             break
 
+    _drop_work_buffers(lat)
     samples = samples[:count]
     record = TrajectoryRecord(
         config=replace(cfg),

@@ -495,7 +495,10 @@ def _half_multipliers(lat):
     ``velocity`` and ``grad`` stack the two components, shape
     (2, n, n//2 + 1), with the Nyquist row and column and mode (0, 0)
     zeroed; the velocity reads |xi|^-1 from :func:`_power`.  ``mask``
-    is the 2/3-rule mask with mode (0, 0) removed.  Built once per lattice.
+    is the 2/3-rule mask with mode (0, 0) removed, as complex ones and
+    zeros: a complex spectrum times it takes the values of its product with
+    the boolean mask, which numpy casts to complex, with no cast buffer.
+    Built once per lattice.
     """
     cached = lat._symbol_cache.get("half-multipliers")
     if cached is None:
@@ -503,79 +506,125 @@ def _half_multipliers(lat):
         kx, ky = _half_columns(lat.kx), _half_columns(lat.ky)
         velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), lat.n)
         grad = _zero_nyquist(np.stack([1j * kx, 1j * ky]), lat.n)
-        mask = _half_columns(lat.dealias_mask).copy()
-        mask[0, 0] = False
+        mask = _half_columns(lat.dealias_mask).astype(np.complex128)
+        mask[0, 0] = 0.0
         cached = (velocity, grad, mask)
         lat._symbol_cache["half-multipliers"] = cached
     return cached
 
 
-def _to_physical(lat, half, keep):
+def _work_buffer(lat, name, shape, dtype, cached=True):
+    """A kernel work buffer, or a fresh array when ``cached`` is false.
+
+    Cached buffers live in one dict, ``lat._symbol_cache["kernel-work"]``,
+    keyed by ``(name, shape)``, so each lattice keeps one buffer per
+    intermediate and operand shape.  Every call writes each element it reads
+    before reading it, so no value carries over from an earlier call.
+    """
+    if not cached:
+        return np.empty(shape, dtype)
+    work = lat._symbol_cache.setdefault("kernel-work", {})
+    buf = work.get((name, shape))
+    if buf is None:
+        buf = work[name, shape] = np.empty(shape, dtype)
+    return buf
+
+
+def _drop_work_buffers(lat):
+    """Release the cached work buffers of :func:`_work_buffer` on ``lat``."""
+    lat._symbol_cache.pop("kernel-work", None)
+
+
+def _to_physical(lat, operand, keep, name, cached):
     """Physical samples of a stack of half spectra, (..., n, n//2 + 1) -> (..., n, n).
 
+    ``operand`` is the stack, or a pair (symbol, half) whose product it is.
     numpy's ``irfft2`` is ``ifft`` along axis -2, then ``irfft`` along axis
-    -1; this makes the same two passes.  When the columns from ``keep`` on
-    are all zero in ``half``, the first pass transforms columns 0 .. keep-1
-    only, into a work buffer cached per stack shape whose other columns are
-    never written and so stay zero; otherwise it transforms every column
-    into a fresh array.  Either way the result equals ``irfft2`` bit for bit
-    and is a fresh array.
+    -1; this makes the same two passes, the first into a work buffer cached
+    per stack shape, where a pair's product is formed and transformed in
+    place, and the second into the ``name`` buffer of :func:`_work_buffer`.
+    When the columns from ``keep`` on are all zero in the stack, the first
+    pass transforms columns 0 .. keep-1 only and sets the others to zero,
+    which is what their transform would give.  The result equals ``irfft2``
+    of the stack bit for bit.
     """
-    if half[..., keep:].any():
-        spec = np.fft.ifft(half, axis=-2)
+    if isinstance(operand, tuple):
+        symbol, half = operand
+        spec = _work_buffer(lat, "inverse", np.broadcast_shapes(symbol.shape, half.shape), complex)
+        operand = np.multiply(symbol, half, out=spec)
     else:
-        key = ("inverse-buffer", half.shape)
-        spec = lat._symbol_cache.get(key)
-        if spec is None:
-            spec = lat._symbol_cache[key] = np.zeros(half.shape, np.complex128)
-        np.fft.ifft(half[..., :keep], axis=-2, out=spec[..., :keep])
-    return np.fft.irfft(spec, n=lat.n, axis=-1)
+        spec = _work_buffer(lat, "inverse", operand.shape, complex)
+    if operand[..., keep:].any():
+        np.fft.ifft(operand, axis=-2, out=spec)
+    else:
+        np.fft.ifft(operand[..., :keep], axis=-2, out=spec[..., :keep])
+        # a full-width irfft is faster than one that pads a short row
+        spec[..., keep:] = 0.0
+    physical = _work_buffer(lat, name, spec.shape[:-1] + (lat.n,), float, cached)
+    return np.fft.irfft(spec, n=lat.n, axis=-1, out=physical)
 
 
-def _quadratic_coeffs(lat, left, right):
+def _quadratic_coeffs(lat, left, right, out=None):
     """The one kernel for quadratic terms, on the rfft2 half spectrum.
 
     ``left`` and ``right`` hold half spectra of shape (..., k, n, n//2 + 1)
-    whose leading axes broadcast against each other.  Each goes to physical
-    space once as given (:func:`_to_physical`), so a factor shared by a
-    batch is transformed once.  The two operands are not stacked into one
-    transform: at n = 128 one transform over four slices is slower than two
-    over two.  The sum left_1 * right_1 + ... + left_k * right_k is formed
-    pointwise in that order and transformed forward in two pruned passes:
-    ``rfft`` along axis -1, then ``fft`` along axis -2 over columns 0 .. K
-    only, K = (n-1)//3, the columns the 2/3 rule keeps.  Those columns equal
-    the masked ``rfft2`` bit for bit; columns K+1 .. n/2 are +0.  The result
-    is masked with the 2/3 rule and mean-freed.
+    whose leading axes broadcast against each other; either may also be
+    given as a pair (symbol, half) whose product is that stack.  Each goes
+    to physical space once as given (:func:`_to_physical`), so a factor
+    shared by a batch is transformed once.  The two operands are not stacked
+    into one transform: at n = 128 one transform over four slices is slower
+    than two over two.  The sum left_1 * right_1 + ... + left_k * right_k is
+    formed pointwise in that order and transformed forward in two pruned
+    passes: ``rfft`` along axis -1, then ``fft`` along axis -2 over columns
+    0 .. K only, K = (n-1)//3, the columns the 2/3 rule keeps.  Those
+    columns equal the masked ``rfft2`` bit for bit; columns K+1 .. n/2 are
+    +0.  The result is masked with the 2/3 rule and mean-freed.
 
     An operand whose columns K+1 .. n/2 are not all zero, which the public
     :func:`multiply` and :func:`advect` accept, has all its columns
     transformed, so the contract holds for every field.  Returns the
-    (..., n, n//2 + 1) result and the physical ``left`` factors, both fresh
-    arrays that no later call writes to.
+    (..., n, n//2 + 1) result and the physical ``left`` factors.
+
+    Without ``out`` both are fresh arrays that no later call writes to.
+    With ``out``, the caller's result array, the result is written into it
+    and the physical factors, their product and its partner term into work
+    buffers of :func:`_work_buffer`, so a repeated call allocates no array;
+    the physical ``left`` factors returned are then a work buffer that the
+    next call with ``out`` overwrites.  Either way the column pass
+    transforms the result in place, and every FFT and ufunc writes with
+    ``out=``.
     """
-    keep = (lat.n - 1) // 3 + 1  # columns 0 .. K
-    left_p = _to_physical(lat, left, keep)
-    right_p = _to_physical(lat, right, keep)
-    terms = zip(np.moveaxis(left_p, -3, 0), np.moveaxis(right_p, -3, 0))
-    a, b = next(terms)
-    prod = a * b
-    for a, b in terms:
-        prod += a * b
-    rows = np.fft.rfft(prod, axis=-1)
-    out = np.zeros(rows.shape, np.complex128)
-    np.fft.fft(rows[..., :keep], axis=-2, out=out[..., :keep])
-    out[..., :keep] *= _half_multipliers(lat)[2][:, :keep]
+    cached = out is not None
+    n = lat.n
+    keep = (n - 1) // 3 + 1  # columns 0 .. K
+    left_p = _to_physical(lat, left, keep, "left-physical", cached)
+    right_p = _to_physical(lat, right, keep, "right-physical", cached)
+    lead = np.broadcast_shapes(left_p.shape[:-3], right_p.shape[:-3])
+    prod = _work_buffer(lat, "product", lead + (n, n), float, cached)
+    np.multiply(left_p[..., 0, :, :], right_p[..., 0, :, :], out=prod)
+    for i in range(1, left_p.shape[-3]):
+        partner = _work_buffer(lat, "partner", prod.shape, float, cached)
+        np.add(prod, np.multiply(left_p[..., i, :, :], right_p[..., i, :, :], out=partner), out=prod)
+    if out is None:
+        out = np.empty(lead + (n, n // 2 + 1), complex)
+    np.fft.rfft(prod, axis=-1, out=out)
+    np.fft.fft(out[..., :keep], axis=-2, out=out[..., :keep])
+    # +0 also where a reused ``out`` was negated; the mask keeps it +0, and
+    # multiplying every column is faster than the strided kept ones
+    out[..., keep:] = 0.0
+    np.multiply(out, _half_multipliers(lat)[2], out=out)
     return out, left_p
 
 
-def _advection_coeffs(lat, w_half, theta_half):
+def _advection_coeffs(lat, w_half, theta_half, out=None):
     """Advection kernel u_w . grad(theta) on half spectra.
 
     ``w_half`` and ``theta_half`` are (..., n, n//2 + 1) stacks that
     broadcast against each other.  Returns the result and the physical
     velocity of ``w``, shape (..., 2, n, n), from which callers that need
-    max |u| read it.
+    max |u| read it.  The symbol products are formed in the kernel's work
+    buffer (:func:`_to_physical`); ``out`` is that of :func:`_quadratic_coeffs`.
     """
     velocity, grad, _ = _half_multipliers(lat)
-    left = velocity * w_half[..., None, :, :]
-    return _quadratic_coeffs(lat, left, grad * theta_half[..., None, :, :])
+    left = (velocity, w_half[..., None, :, :])
+    return _quadratic_coeffs(lat, left, (grad, theta_half[..., None, :, :]), out)

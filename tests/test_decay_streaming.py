@@ -242,3 +242,24 @@ def test_memory_does_not_grow_with_the_snapshot_count():
     short, long = traced_peak(3.5), traced_peak(14.0)  # 351 and 1401 snapshots
     field_bytes = 32 * (32 // 2 + 1) * 16
     assert (long - short) / (1401 - 351) < field_bytes / 4
+
+
+def test_the_critical_norms_are_the_series_ones(monkeypatch):
+    # initial_norm and terminal_norm are the series' first and last H2m2a,
+    # sqrt(l2sq + hcsq), not sqrt(l2**2 + hs**2) of the square roots, which
+    # differs in the last bit for some seeds
+    runs = []
+    real = sqglab.decay.simulate
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(sqglab.decay, "simulate", recorded)
+    for seed in range(20):
+        cfg = config(n=32, seed=seed, snapshot_every=5)
+        report = decay_experiment(cfg, initial_field(cfg), c_hat=1.0, cauchy_c_hat=1.0)
+        h_crit = runs[-1].series.h_crit
+        assert report.initial_norm == h_crit[0]
+        assert report.terminal_norm == h_crit[-1]
+        assert report.terminal_ratio == h_crit[-1] / h_crit[0]

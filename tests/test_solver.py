@@ -412,6 +412,34 @@ class TestHalfSpectrumKernelPath:
         record = simulate(initial_field(cfg), cfg)
         assert record.cancellation.max() <= 1e-15
 
+    def test_a_warm_step_at_n_128_allocates_no_array(self):
+        # the stages, stage arguments, states and kernel intermediates are
+        # work buffers; one (n, n//2 + 1) complex array alone is 130 KiB, and
+        # numpy's buffer for a real factor times a complex state is 128 KiB
+        from sqglab.solver import _Stepper
+
+        cfg = small_config(n=128, dt=0.005, init_norm=1.0)
+        stepper = _Stepper(cfg.lattice(), cfg.alpha, True, cfg.dt)
+        state = dealias(initial_field(cfg)).half
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tracemalloc.start()
+        try:
+            # the warm-up step fills the buffers and numpy's one-time caches
+            state = stepper.advance(state, cfg.dt)
+            kept = tracemalloc.take_snapshot().filter_traces(arrays)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(5):
+                state = stepper.advance(state, cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+            now = tracemalloc.take_snapshot().filter_traces(arrays)
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 512 * 1024
+        # the array data numpy holds does not grow
+        assert sum(t.size for t in now.traces) <= sum(t.size for t in kept.traces)
+        assert np.isfinite(state).all()
+
 
 class TestSampleBlock:
     @pytest.mark.parametrize("tracked", [True, False])

@@ -552,6 +552,84 @@ class TestPrunedKernel:
         assert widths == {"ifft": [22 if band_limit else 33] * 2, "fft": [22]}
 
 
+def _poison(lat, *arrays):
+    """Fill ``arrays`` and every cached kernel work buffer of ``lat`` with NaN."""
+    for a in (*lat._symbol_cache.get("kernel-work", {}).values(), *arrays):
+        a.fill(np.nan)
+
+
+class TestKernelWorkBuffers:
+    """With ``out`` the kernel reuses cached work buffers; no value carries over."""
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_out_gives_the_bytes_of_the_allocating_call(self, n):
+        from sqglab.spectral import _advection_coeffs, _quadratic_coeffs
+
+        lat = make_lattice(n, TWO_PI)
+        m = n // 2 + 1
+        rng = np.random.default_rng(n + 4)
+        single, pair = np.empty((n, m), complex), np.empty((2, n, m), complex)
+        for band_limit in (True, False, True):
+            omega, theta, g = (
+                gaussian_random_field(lat, 2.0, rng, band_limit=band_limit).half
+                for _ in range(3)
+            )
+            stack = np.stack([omega, theta])
+            calls = [
+                (_advection_coeffs, (lat, theta, theta), single),
+                (_advection_coeffs, (lat, stack, theta), pair),
+                (_quadratic_coeffs, (lat, theta[None, None], stack[:, None]), pair),
+                (_quadratic_coeffs, (lat, stack[None], np.stack([g, omega])[None]), single[None]),
+            ]
+            for kernel, args, out in calls:
+                want, want_left = kernel(*args)
+                for _ in range(2):
+                    _poison(lat, out)
+                    got, got_left = kernel(*args, out)
+                    assert got is out
+                    assert got.tobytes() == want.tobytes()  # signs of zero too
+                    dropped = np.ascontiguousarray(got[..., (n - 1) // 3 + 1 :])
+                    assert not dropped.view(np.uint64).any()  # +0, not -0
+                    assert got_left.tobytes() == want_left.tobytes()
+                # as the stepper leaves it: negated, every dropped column -0
+                np.negative(out, out=out)
+                assert kernel(*args, out)[0].tobytes() == want.tobytes()
+
+    def test_runs_and_a_lab_ensemble_on_one_lattice(self):
+        # a run whose buffers are filled with NaN at every sample, then a lab
+        # ensemble, then a plain run, all on one lattice object
+        from sqglab import initial_field
+        from sqglab.lemmas import EnsembleSpec, estimate_constant
+
+        cfg = SolverConfig(
+            alpha=0.25, n=32, dt=0.02, t_end=0.2, seed=4, init_norm=1.0,
+            snapshot_every=1, track_cancellation=True,
+        )
+        theta0 = initial_field(cfg)
+        lat = theta0.lattice
+        plain = simulate(theta0, cfg)
+        poisoned = []
+
+        def poison(t, snap):
+            poisoned.append(snap.half.tobytes())
+            _poison(lat)
+
+        records = [simulate(theta0, cfg, _on_snapshot=poison)]
+        spec = EnsembleSpec(count=10, seed=3, lattice=lat)
+        for which in ("2.2-productlaw", "2.4-bilinear", "cauchy-advection"):
+            estimate_constant(spec, which)
+            _poison(lat)
+        records.append(simulate(theta0, cfg))
+        for record in records:
+            for a, b in zip(plain.series.columns(), record.series.columns()):
+                assert a.tobytes() == b.tobytes()
+            assert plain.cancellation.tobytes() == record.cancellation.tobytes()
+            assert plain.final.half.tobytes() == record.final.half.tobytes()
+        assert poisoned == [f.half.tobytes() for f in plain.snapshots]
+        assert [f.half.tobytes() for f in records[1].snapshots] == poisoned
+        assert len(poisoned) == 11
+
+
 def _producers(n):
     """(name, field) for every producer of fields, on an n x n lattice."""
     from sqglab import (
