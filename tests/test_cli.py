@@ -352,6 +352,19 @@ class TestVerifyCommand:
         name = "lemma_elementary.json"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_both_product_laws_in_one_call_write_the_bytes_of_a_call_each(self, tmp_path):
+        # the second id of the one call reuses the first id's ensemble pass
+        ids = ["2.2-productlaw", "2.1-productlaw-two-term"]
+        common = ["--samples", "12", "--n", "16", "--alpha", "0.4", "--seed", "5"]
+        sqglab.lemmas._PRODUCT_LAW_PASS.clear()
+        assert main(["verify", *ids, *common, "--out", str(tmp_path / "one")]) == EXIT_OK
+        for lemma_id in ids:
+            sqglab.lemmas._PRODUCT_LAW_PASS.clear()
+            assert main(["verify", lemma_id, *common, "--out", str(tmp_path / "each")]) == EXIT_OK
+        for lemma_id in ids:
+            name = f"lemma_{lemma_id.replace('.', '_')}.json"
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "each" / name).read_bytes()
+
     # the params and lattice size each offered shape's report shows at --alpha 0.3, --n 16
     AT_ALPHA = {
         "elementary": ({}, 0),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -950,3 +951,154 @@ class TestConstantMemoryEnsembles:
 
         small, large = traced_peak(run(4 * block)), traced_peak(run(32 * block))
         assert large <= 1.25 * small, (small, large)
+
+
+PRODUCT_LAW_IDS = ("2.1-productlaw-two-term", "2.2-productlaw")
+
+
+def fresh_report(spec, which, params):
+    """The report of ``which`` from a pass of its own: the product-law memo emptied first."""
+    sqglab.lemmas._PRODUCT_LAW_PASS.clear()
+    report = estimate_constant(spec, which, params)
+    sqglab.lemmas._PRODUCT_LAW_PASS.clear()
+    return dataclasses.asdict(report)
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named function of sqglab.lemmas to count its calls; return the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(sqglab.lemmas, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sqglab.lemmas, name, counted)
+    return calls
+
+
+class TestSharedProductLawPass:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        sqglab.lemmas._PRODUCT_LAW_PASS.clear()
+        yield
+        sqglab.lemmas._PRODUCT_LAW_PASS.clear()
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return make_lattice(16, TWO_PI)
+
+    MODES = [(1, 0, 1.0, 0.0), (2, 3, 0.5, 0.7), (-1, 2, 0.25, 1.9)]
+    # (spec fields, shape params); at s2 >= 1 the product ratio is None
+    CASES = {
+        "gaussian": ({"generator": "gaussian"}, {"s1": 0.5, "s2": 0.25}),
+        "modes": (
+            {"generator": "multi_mode", "params": {"modes": MODES}},
+            {"s1": 0.25, "s2": 0.25},
+        ),
+        "s2 >= 1": ({"generator": "gaussian"}, {"s1": 0.25, "s2": 1.5}),
+    }
+
+    @pytest.mark.parametrize("order", [PRODUCT_LAW_IDS, PRODUCT_LAW_IDS[::-1]])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_either_order_gives_each_id_its_own_report(self, small, order, case):
+        fields, params = self.CASES[case]
+        spec = EnsembleSpec(count=10, seed=3, lattice=small, **fields)
+        want = {which: fresh_report(spec, which, params) for which in order}
+        for which in order:
+            assert dataclasses.asdict(estimate_constant(spec, which, params)) == want[which]
+        two_term, product = (want[which] for which in PRODUCT_LAW_IDS)
+        assert two_term["max_ratio"] > 0.0
+        if case == "s2 >= 1":  # the product tally gets no sample
+            assert (product["max_ratio"], product["violations"]) == (0.0, 0)
+            assert product["degenerate_samples"] == 0
+        else:
+            assert product["max_ratio"] > two_term["max_ratio"]
+
+    @pytest.mark.parametrize(
+        "first,second", [PRODUCT_LAW_IDS, PRODUCT_LAW_IDS[::-1], PRODUCT_LAW_IDS[:1] * 2]
+    )
+    def test_a_hit_draws_nothing_and_makes_no_kernel_call(
+        self, small, monkeypatch, first, second
+    ):
+        calls = count_calls(monkeypatch, "_draw", "_quadratic_coeffs")
+        spec = EnsembleSpec(count=10, seed=3, lattice=small)
+        estimate_constant(spec, first, {"s1": 0.5, "s2": 0.25})
+        assert calls == {"_draw": 20, "_quadratic_coeffs": 10}
+        estimate_constant(spec, second, {"s1": 0.5, "s2": 0.25})
+        assert calls == {"_draw": 20, "_quadratic_coeffs": 10}
+
+    # one key field changed from the base spec (count 10, gaussian, seed 3,
+    # no generator params, n 16 on the 2 pi box) at s1 0.5, s2 0.25
+    CHANGES = {
+        "count": ({"count": 11}, {}),
+        "seed": ({"seed": 4}, {}),
+        "generator": ({"generator": "dyadic_bumps"}, {}),
+        "params": ({"params": {"slope": 3.0}}, {}),
+        "n": ({"lattice": make_lattice(18, TWO_PI)}, {}),
+        "box_len": ({"lattice": make_lattice(16, 3.7)}, {}),
+        "s1": ({}, {"s1": 0.4}),
+        "s2": ({}, {"s2": 0.3}),
+    }
+
+    @pytest.mark.parametrize("which", PRODUCT_LAW_IDS)
+    @pytest.mark.parametrize("changed", list(CHANGES))
+    def test_a_change_to_any_key_field_misses(self, small, monkeypatch, which, changed):
+        fields, orders = self.CHANGES[changed]
+        params = {"s1": 0.5, "s2": 0.25, **orders}
+        spec = EnsembleSpec(**{"count": 10, "seed": 3, "lattice": small, **fields})
+        want = fresh_report(spec, which, params)
+        base = EnsembleSpec(count=10, seed=3, lattice=small)
+        for first in PRODUCT_LAW_IDS:
+            estimate_constant(base, first, {"s1": 0.5, "s2": 0.25})
+        calls = count_calls(monkeypatch, "_draw")
+        assert dataclasses.asdict(estimate_constant(spec, which, params)) == want
+        assert calls["_draw"] == 2 * spec.count
+
+    @pytest.mark.parametrize("which", PRODUCT_LAW_IDS)
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_the_key_holds_the_modes_by_value(self, small, monkeypatch, which, as_array):
+        # an amplitude changed in place, 1e-9 off: numpy prints an array
+        # to eight digits by default, where the two read alike
+        def spec_of(modes):
+            return EnsembleSpec(
+                count=10, generator="multi_mode", lattice=small, params={"modes": modes}
+            )
+
+        modes = [list(mode) for mode in self.MODES]
+        changed = [list(mode) for mode in self.MODES]
+        changed[1][2] += 1e-9
+        if as_array:
+            modes, changed = np.array(modes), np.array(changed)
+        spec = spec_of(modes)
+        want = fresh_report(spec_of(changed), which, {})
+        estimate_constant(spec, PRODUCT_LAW_IDS[0], {})
+        modes[1][2] = changed[1][2]
+        calls = count_calls(monkeypatch, "_draw")
+        assert dataclasses.asdict(estimate_constant(spec, which, {})) == want
+        assert calls["_draw"] == 2 * spec.count
+
+    def test_three_keys_leave_one_entry(self, small):
+        for seed in (1, 2, 3):
+            spec = EnsembleSpec(count=10, seed=seed, lattice=small)
+            estimate_constant(spec, PRODUCT_LAW_IDS[seed % 2], {})
+        assert len(sqglab.lemmas._PRODUCT_LAW_PASS) == 1
+
+    @pytest.mark.parametrize("which", PRODUCT_LAW_IDS)
+    @pytest.mark.parametrize(
+        "params,key",
+        [({"s1": 0.5, "s2": 0.25, "alpha": 0.25}, "'alpha'"), ([("s1", 0.5)], "mapping")],
+    )
+    def test_bad_params_on_the_last_key_are_rejected_before_any_draw(
+        self, small, monkeypatch, which, params, key
+    ):
+        spec = EnsembleSpec(count=10, seed=3, lattice=small)
+        estimate_constant(spec, PRODUCT_LAW_IDS[0], {"s1": 0.5, "s2": 0.25})
+
+        def no_draws(*args):
+            raise AssertionError("drew a sample for bad params")
+
+        monkeypatch.setattr(sqglab.lemmas, "_draw", no_draws)
+        with pytest.raises(ValueError, match=key):
+            estimate_constant(spec, which, params)
