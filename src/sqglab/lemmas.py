@@ -692,29 +692,24 @@ _EPS0_CACHE = {}
 def default_smallness_threshold(alpha):
     """Calibrated smallness threshold 0.25 / C_hat(alpha).
 
-    C_hat(alpha) is the empirical constant of the order-(2-2a) advection
-    pairing bound (the shape driving the small-data energy ledger), taken as
-    the maximum over a broadband Gaussian ensemble and a low-wavenumber
-    few-mode ensemble, each of 48 fields at n 32 on the 2 pi box, seed 20.
-    The Gaussian ensemble sets C_hat at every measured alpha: at alpha 0.05
-    to 0.45 it gives 0.069 down to 0.034, the few-mode one 0.015 down to
-    0.012.  Deterministic in alpha; the result is a calibration, not a sharp
-    constant.
+    C_hat(alpha) is the largest ratio of the order-(2-2a) advection pairing
+    bound over 48 Gaussian fields at n 32 on the 2 pi box, seed 20.  A
+    few-mode ensemble never sets it: on 256 alphas from 1e-9 to 0.5 - 1e-9
+    the Gaussian ratio is at least 2.80 times the few-mode one.  Cached and
+    deterministic by the exact float alpha; a calibration, not a sharp constant.
     """
-    key = round(float(alpha), 12)
+    key = float(alpha)
     cached = _EPS0_CACHE.get(key)
     if cached is not None:
         return cached
     from .spectral import make_lattice
 
     lattice = make_lattice(32, 2.0 * math.pi)
-    best = 0.0
-    for generator in ("multi_mode", "gaussian"):
-        spec = EnsembleSpec(count=48, generator=generator, seed=20, lattice=lattice)
-        report = estimate_constant(spec, "2.4-bilinear", {"alpha": alpha, "form": "2.6"})
-        best = max(best, report.estimated_constant)
-    if not best > 0.0:
+    spec = EnsembleSpec(count=48, generator="gaussian", seed=20, lattice=lattice)
+    report = estimate_constant(spec, "2.4-bilinear", {"alpha": alpha, "form": "2.6"})
+    c_hat = report.estimated_constant
+    if not c_hat > 0.0:
         raise RuntimeError("degenerate calibration ensemble")
-    value = 0.25 / best
+    value = 0.25 / c_hat
     _EPS0_CACHE[key] = value
     return value

@@ -140,8 +140,8 @@ class SolverConfig:
         samples between stored fields; 0 disables snapshots.
     eps0
         smallness threshold for the gate.  ``None`` selects the calibrated
-        default 0.25 / C_hat(alpha) with C_hat estimated by the inequality
-        lab; always overridable.
+        default 0.25 / C_hat(alpha), C_hat estimated by the inequality lab
+        over 48 Gaussian fields; always overridable.
     seed
         seed for reproducible initial data.
     init_kind, init_slope

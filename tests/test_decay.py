@@ -7,12 +7,14 @@ import pytest
 
 import sqglab.decay
 from sqglab import (
+    EnsembleSpec,
     GateError,
     SolverConfig,
     cauchy_in_time_check,
     decay_experiment,
     default_delta_ladder,
     duhamel_highfreq_bound,
+    estimate_constant,
     gaussian_random_field,
     high_pass,
     hom_norm,
@@ -455,3 +457,27 @@ class TestLatticeReuse:
 
         monkeypatch.setattr(SolverConfig, "lattice", no_new_lattice)
         assert decay_experiment(cfg, theta0, target=math.inf).to_json_dict() == reference
+
+
+class TestEnsembleFamilies:
+    """Each decay constant is set by a different family on the same lattice, so both stay."""
+
+    LATTICE = make_lattice(16, TWO_PI)
+
+    def family_constants(self, which, params, seed):
+        return [
+            estimate_constant(
+                EnsembleSpec(count=32, generator=generator, seed=seed, lattice=self.LATTICE),
+                which,
+                params,
+            ).estimated_constant
+            for generator in ("gaussian", "multi_mode")
+        ]
+
+    def test_gaussian_fields_set_the_split_constant(self):
+        gaussian, few_mode = self.family_constants("2.2-productlaw", {"s1": ALPHA, "s2": ALPHA}, 13)
+        assert estimate_split_constant(self.LATTICE, ALPHA) == gaussian > few_mode
+
+    def test_few_mode_fields_set_the_cauchy_constant(self):
+        gaussian, few_mode = self.family_constants("cauchy-advection", {"alpha": ALPHA}, 17)
+        assert estimate_cauchy_constant(self.LATTICE, ALPHA) == few_mode > gaussian

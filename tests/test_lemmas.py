@@ -800,6 +800,37 @@ class TestSmallnessDefault:
         value = default_smallness_threshold(0.3)
         assert 0.0 < value < 1e3
 
+    def test_cache_is_keyed_by_the_exact_alpha(self, monkeypatch):
+        # a nearby alpha calibrated first must not stand in for this one, or a
+        # run's eps0 would depend on what its process computed before it
+        near = 0.25 + 1e-13
+        monkeypatch.setattr(sqglab.lemmas, "_EPS0_CACHE", {})
+        fresh = default_smallness_threshold(near)
+        monkeypatch.setattr(sqglab.lemmas, "_EPS0_CACHE", {})
+        default_smallness_threshold(0.25)
+        assert default_smallness_threshold(near) == fresh
+
+    def test_gaussian_ensemble_alone_sets_c_hat(self, monkeypatch):
+        # the reference also takes a few-mode 48-field ensemble: it must never
+        # set C_hat, or calibrating on the Gaussian one alone would move eps0
+        lattice = make_lattice(32, TWO_PI)
+        alphas = [1e-9, *np.linspace(0.0, 0.5, 40)[1:-1].tolist(), 0.5 - 1e-9]
+        gaussian, few_mode = [], []
+        for alpha in alphas:
+            values = [
+                estimate_constant(
+                    EnsembleSpec(count=48, generator=generator, seed=20, lattice=lattice),
+                    "2.4-bilinear",
+                    {"alpha": alpha, "form": "2.6"},
+                ).estimated_constant
+                for generator in ("gaussian", "multi_mode")
+            ]
+            gaussian.append(values[0])
+            few_mode.append(values[1])
+            monkeypatch.setattr(sqglab.lemmas, "_EPS0_CACHE", {})
+            assert default_smallness_threshold(alpha) == 0.25 / max(values)
+        assert max(few_mode) < min(gaussian)
+
 
 def _public_loop(lemma_id, count, seed, lattice, params):
     """A field-lemma ensemble one pair at a time through the public check_*.
