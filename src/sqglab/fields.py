@@ -71,13 +71,13 @@ def random_multi_mode(lattice, rng, max_modes=4, max_index=3):
 
 
 def dyadic_bumps_field(lattice, rng, shell_decay=2.0, normalize=True):
-    """Random field supported on dyadic annuli 2^m <= |xi| < 2^(m+1).
+    """Random field supported on dyadic annuli 2^m <= |j| < 2^(m+1) of the mode index.
 
-    Shell m carries weight 2^(-shell_decay * m), so the roll-off across
-    octaves is controlled directly.  The shells are the octaves below the 2/3 cutoff.
+    Shell m carries weight 2^(-shell_decay * m).  The shells are the octaves
+    of the mode index below the 2/3 cutoff, the same on every box.
     """
     n = lattice.n
-    shells = max(1, int(np.log2(max(2.0, lattice.kmin * (n // 3)))))
+    shells = max(1, int(np.log2(max(2, n // 3))))
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     envelope = np.zeros((n, n))
     for m in range(shells):

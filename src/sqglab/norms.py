@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .spectral import _ALPHA, _checked, _half_columns, _power
+from .spectral import _ALPHA, _checked, _power
 
 __all__ = [
     "parseval_weight",
@@ -101,9 +101,9 @@ def _shells(lattice):
     """
     cached = lattice._symbol_cache.get("shells")
     if cached is None:
-        m = _half_columns(lattice.modes1**2 + lattice.modes2**2).ravel()
+        m = (lattice.half.modes1**2 + lattice.half.modes2**2).ravel()
         _, first, index = np.unique(m, return_index=True, return_inverse=True)
-        cached = (index, _half_columns(lattice.kmag).ravel()[first[1:]])
+        cached = (index, lattice.half.kmag.ravel()[first[1:]])
         lattice._symbol_cache["shells"] = cached
     return cached
 

@@ -12,17 +12,18 @@ Conventions (fixed for the whole package, see README):
 * a field is real, so the ``rfft2`` half spectrum, shape (n, n//2 + 1),
   holds all its modes: a :class:`SpectralField` stores that half, every
   operator acts on it, and quadratic terms come from one kernel
-  (:func:`_quadratic_coeffs`); the full (n, n) layout is built where read.
+  (:func:`_quadratic_coeffs`); the lattice stores its per-mode arrays on
+  that half too, and the full (n, n) layout is built where read.
 """
 
 from __future__ import annotations
 
-import functools
 import numbers
 import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,10 +45,12 @@ __all__ = [
 ]
 
 
-# Largest lattice size accepted.  The lattice alone holds about ten n x n
-# arrays (1.3 GB at n = 4096) and a field's half spectrum 8 n^2 bytes, so a
-# larger n cannot run in the memory of an ordinary machine; the check runs
-# before anything is allocated.
+# Largest lattice size accepted.  The lattice keeps k2, kmag and the mask on
+# the half spectrum, 17 n (n/2 + 1) bytes (143 MB at n = 4096), and a field's
+# half spectrum takes 8 n^2 bytes, but a run's work arrays set its peak: a
+# 2-step simulate peaks at 273 MB of RSS at n = 1024, growing as n^2 to about
+# 3.8 GB at n = 4096, so a larger n cannot run in the memory of an ordinary
+# machine; the check runs before anything is allocated.
 MAX_LATTICE_N = 4096
 
 
@@ -134,27 +137,6 @@ def _lattice_size(n, box_len):
     return n, float(box)
 
 
-@functools.lru_cache(maxsize=8)
-def _mirror_indices(n):
-    """Flat gather indices between an n x n spectrum and its half spectrum.
-
-    ``fold[j]`` indexes the full spectrum at -j for each half-spectrum mode
-    j; ``expand`` indexes the buffer [half, conj(half)] (both raveled) so
-    that mode j of the full spectrum reads half[j] on columns 0 .. n/2 and
-    conj(half[-j]) on columns n/2+1 .. n-1.  The self-paired columns 0 and
-    n/2 read rows n/2+1 .. n-1 from the mirror as well.
-    """
-    m = n // 2 + 1
-    j1 = np.arange(n)[:, None]
-    j2 = np.arange(n)[None, :]
-    fold = (-j1 % n) * n + (-j2[:, :m] % n)
-    self_paired = (j2 == 0) | (j2 == m - 1)
-    direct = (j2 < m) & ~(self_paired & (j1 >= m))
-    mirrored = n * m + (-j1 % n) * m + (-j2 % n)
-    expand = np.where(direct, j1 * m + np.minimum(j2, m - 1), mirrored)
-    return fold, expand
-
-
 def _half_columns(a):
     """Columns 0 .. n/2 of an (..., n, n) lattice array: its rfft2 half spectrum."""
     return a[..., : a.shape[-1] // 2 + 1]
@@ -168,17 +150,35 @@ def _fold_half(coeffs):
     onto conjugate-symmetric spectra, bit for bit.
     """
     n = coeffs.shape[-1]
-    half = np.conj(coeffs.take(_mirror_indices(n)[0]))
-    half += coeffs[:, : n // 2 + 1]
+    m = n // 2 + 1
+    half = np.empty((n, m), complex)
+    # c(-j) on the half: row -j1 is row 0, then rows n-1 .. 1, and column
+    # -j2 is column 0, then columns n-1 .. n/2
+    half[:1, :1] = coeffs[:1, :1]
+    half[:1, 1:] = coeffs[:1, : m - 2 : -1]
+    half[1:, :1] = coeffs[:0:-1, :1]
+    half[1:, 1:] = coeffs[:0:-1, : m - 2 : -1]
+    np.conjugate(half, out=half)
+    half += coeffs[:, :m]
     half *= 0.5
     return half
+
+
+def _full_columns(half, odd=False):
+    """The full (n, n) layout of a lattice array even in j2, or odd: columns
+    n/2+1 .. n-1 are columns n/2-1 .. 1 of the half, negated when odd."""
+    mirror = half[:, -2:0:-1]
+    return np.concatenate((half, -mirror if odd else mirror), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class FrequencyLattice:
     """Discrete Fourier grid for an n x n periodic box of side ``box_len``.
 
-    Precomputed per-mode arrays:
+    Per-mode arrays, stored on the rfft2 half spectrum (n, n//2 + 1) as
+    attributes of ``half``, the layout every operator reads (those of one
+    index are read-only views of a column or row); the lattice attribute of
+    each name is the full (n, n) layout, built on first read and kept:
 
     modes1, modes2
         integer mode indices j1, j2 in fftfreq order.
@@ -194,31 +194,32 @@ class FrequencyLattice:
 
     n: int
     box_len: float
-    modes1: np.ndarray = field(init=False, repr=False)
-    modes2: np.ndarray = field(init=False, repr=False)
-    kx: np.ndarray = field(init=False, repr=False)
-    ky: np.ndarray = field(init=False, repr=False)
-    k2: np.ndarray = field(init=False, repr=False)
-    kmag: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
+    half: SimpleNamespace = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, value in zip(("n", "box_len"), _lattice_size(self.n, self.box_len)):
             object.__setattr__(self, name, value)
         j = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        j1, j2 = np.meshgrid(j, j, indexing="ij")
+        j1, j2 = j[:, None], j[None, : self.n // 2 + 1]
         step = 2.0 * np.pi / self.box_len
-        object.__setattr__(self, "modes1", j1)
-        object.__setattr__(self, "modes2", j2)
-        object.__setattr__(self, "kx", step * j1)
-        object.__setattr__(self, "ky", step * j2)
         k2 = (step * j1) ** 2 + (step * j2) ** 2
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "kmag", np.sqrt(k2))
         keep = (self.n - 1) // 3
         mask = (np.abs(j1) <= keep) & (np.abs(j2) <= keep)
-        object.__setattr__(self, "dealias_mask", mask)
+        # an array of one index is a read-only view of its column or row
+        j1, j2, kx, ky = (np.broadcast_to(a, k2.shape) for a in (j1, j2, step * j1, step * j2))
+        half = SimpleNamespace(
+            modes1=j1, modes2=j2, kx=kx, ky=ky, k2=k2, kmag=np.sqrt(k2), dealias_mask=mask
+        )
+        object.__setattr__(self, "half", half)
         object.__setattr__(self, "_symbol_cache", {})
+
+    def __getattr__(self, name):
+        # a per-mode array in the full layout: mirrored from the half on
+        # first read and then kept, outside the symbol cache
+        if name not in ("modes1", "modes2", "kx", "ky", "k2", "kmag", "dealias_mask"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        full = self.__dict__[name] = _full_columns(vars(self.half)[name], name in ("modes2", "ky"))
+        return full
 
     @property
     def spacing(self):
@@ -238,8 +239,8 @@ class FrequencyLattice:
     def symbol_power(self, s):
         """|xi|^s per mode with the (0,0) entry set to 0, cached per finite exponent.
 
-        The full (n, n) layout, read by the field generators; operators on
-        half spectra read :func:`_half_symbol`.
+        The full (n, n) layout, mirrored from the half for the field
+        generators; operators on half spectra read :func:`_half_symbol`.
         """
         return _cached_power(self, s, full=True)
 
@@ -257,13 +258,13 @@ def _half_symbol(lat, s):
 
 
 def _power(lat, s, full):
-    """|xi|^s from the full or the half columns of ``lat.k2``, (0, 0) at 0, uncached."""
+    """|xi|^s from ``lat.half.k2``, (0, 0) at 0, in the full or the half layout, uncached."""
     _checked("exponent", s, "real")
-    safe = (lat.k2 if full else _half_columns(lat.k2)).copy()
+    safe = lat.half.k2.copy()
     safe[0, 0] = 1.0
     power = safe ** (0.5 * s)
     power[0, 0] = 0.0
-    return power
+    return _full_columns(power) if full else power
 
 
 def _cached_power(lat, s, full):
@@ -420,7 +421,7 @@ def low_pass(theta, delta):
     """Keep modes with |xi| < delta, zero the rest."""
     if not delta > 0:
         raise ValueError("cutoff must be positive")
-    keep = _half_columns(theta.lattice.kmag) < delta
+    keep = theta.lattice.half.kmag < delta
     return _from_half(theta.lattice, np.where(keep, theta.half, 0.0))
 
 
@@ -428,13 +429,13 @@ def high_pass(theta, delta):
     """Keep modes with |xi| >= delta; low_pass + high_pass restores theta exactly."""
     if not delta > 0:
         raise ValueError("cutoff must be positive")
-    keep = _half_columns(theta.lattice.kmag) >= delta
+    keep = theta.lattice.half.kmag >= delta
     return _from_half(theta.lattice, np.where(keep, theta.half, 0.0))
 
 
 def dealias(f):
     """Apply the 2/3-rule mask."""
-    return _from_half(f.lattice, f.half * _half_columns(f.lattice.dealias_mask))
+    return _from_half(f.lattice, f.half * f.lattice.half.dealias_mask)
 
 
 def rescale_field(theta, lam, alpha):
@@ -485,8 +486,15 @@ def _expand_half(half, n):
     n/2+1 .. n-1 from rows n/2-1 .. 1 the same way, so the result is exactly
     conjugate-symmetric whenever its four self-paired modes are real.
     """
-    both = np.concatenate((half.ravel(), np.conj(half).ravel()))
-    return both.take(_mirror_indices(n)[1])
+    m = n // 2 + 1
+    full = np.empty((n, n), complex)
+    full[:, :m] = half
+    # the column step n/2 picks just the self-paired columns 0 and n/2
+    np.conjugate(half[m - 2 : 0 : -1, :: m - 1], out=full[m:, : m : m - 1])
+    # c(-j) for columns n/2+1 .. n-1: row -j1 is row 0, then rows n-1 .. 1
+    np.conjugate(half[:1, m - 2 : 0 : -1], out=full[:1, m:])
+    np.conjugate(half[:0:-1, m - 2 : 0 : -1], out=full[1:, m:])
+    return full
 
 
 def _half_multipliers(lat):
@@ -503,10 +511,10 @@ def _half_multipliers(lat):
     cached = lat._symbol_cache.get("half-multipliers")
     if cached is None:
         inv = _power(lat, -1.0, full=False)
-        kx, ky = _half_columns(lat.kx), _half_columns(lat.ky)
+        kx, ky = lat.half.kx, lat.half.ky
         velocity = _zero_nyquist(np.stack([-1j * ky * inv, 1j * kx * inv]), lat.n)
         grad = _zero_nyquist(np.stack([1j * kx, 1j * ky]), lat.n)
-        mask = _half_columns(lat.dealias_mask).astype(np.complex128)
+        mask = lat.half.dealias_mask.astype(np.complex128)
         mask[0, 0] = 0.0
         cached = (velocity, grad, mask)
         lat._symbol_cache["half-multipliers"] = cached

@@ -459,6 +459,20 @@ class TestLatticeReuse:
         assert decay_experiment(cfg, theta0, target=math.inf).to_json_dict() == reference
 
 
+class TestFullLayoutReads:
+    def test_a_run_and_its_decay_pipeline_build_only_the_generators_mask(self):
+        # every operator reads the lattice's half arrays; the Gaussian
+        # generator reads the full mask, of the initial field and of the
+        # ensembles that set the decay constants on the run's lattice
+        cfg = run_config(t_end=0.5)
+        theta0 = initial_field(cfg)
+        lat = theta0.lattice
+        simulate(theta0, cfg)
+        decay_experiment(cfg, theta0, target=math.inf)
+        names = ("modes1", "modes2", "kx", "ky", "k2", "kmag", "dealias_mask")
+        assert [name for name in names if name in vars(lat)] == ["dealias_mask"]
+
+
 class TestEnsembleFamilies:
     """Each decay constant is set by a different family on the same lattice, so both stay."""
 

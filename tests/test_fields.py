@@ -75,6 +75,18 @@ def test_dyadic_bumps_rolls_off_across_shells(lat):
     assert np.abs(f.coeffs[shell2]).max() < np.abs(f.coeffs[shell0]).max()
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("box_len", [100.0, 1.0, 3.7])
+def test_dyadic_bumps_count_octaves_of_the_mode_index_on_every_box(n, box_len):
+    # the shells are octaves of the mode index below the 2/3 cutoff, so the
+    # support is that of the 2 pi box whatever the box's size
+    want = dyadic_bumps_field(make_lattice(n, TWO_PI), np.random.default_rng(6))
+    f = dyadic_bumps_field(make_lattice(n, box_len), np.random.default_rng(6))
+    assert np.array_equal(f.coeffs != 0, want.coeffs != 0)
+    if n == 64:
+        assert np.count_nonzero(f.coeffs) == 792
+
+
 def test_scaled_to_norm_hits_the_target(lat):
     f = gaussian_random_field(lat, 2.0, np.random.default_rng(5))
     g = scaled_to_norm(f, 0.37, 1.5)

@@ -843,3 +843,139 @@ class TestLatticeSize:
                 _lattice_size(n, box)
             with pytest.raises(ValueError):
                 FrequencyLattice(n, box)
+
+
+LATTICE_ARRAYS = ("modes1", "modes2", "kx", "ky", "k2", "kmag", "dealias_mask")
+
+
+def _reference_lattice(n, box_len):
+    """The seven lattice arrays built on the full (n, n) mode grid."""
+    j = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    j1, j2 = np.meshgrid(j, j, indexing="ij")
+    step = 2.0 * np.pi / box_len
+    k2 = (step * j1) ** 2 + (step * j2) ** 2
+    keep = (n - 1) // 3
+    mask = (np.abs(j1) <= keep) & (np.abs(j2) <= keep)
+    return dict(
+        modes1=j1, modes2=j2, kx=step * j1, ky=step * j2, k2=k2, kmag=np.sqrt(k2),
+        dealias_mask=mask,
+    )
+
+
+class TestHalfLayoutLattice:
+    @pytest.mark.parametrize("n", [8, 10, 64, 128])
+    @pytest.mark.parametrize("box_len", [TWO_PI, 3.7])
+    def test_half_arrays_are_the_half_columns_of_the_full_attributes(self, n, box_len):
+        lat = make_lattice(n, box_len)
+        reference = _reference_lattice(n, box_len)
+        for name in LATTICE_ARRAYS:
+            half = getattr(lat.half, name)
+            assert half.shape == (n, n // 2 + 1), name
+            # a full attribute is built on first read and then kept, outside
+            # the symbol cache
+            assert name not in vars(lat), name
+            full = getattr(lat, name)
+            assert getattr(lat, name) is full, name
+            assert full.dtype == reference[name].dtype, name
+            assert full.tobytes() == reference[name].tobytes(), name
+            assert half.tobytes() == np.ascontiguousarray(full[:, : n // 2 + 1]).tobytes(), name
+        assert not any(
+            a.shape == (n, n) for v in lat._symbol_cache.values() for a in _cached_arrays(v)
+        )
+
+    def test_make_lattice_allocates_no_full_array(self):
+        import tracemalloc
+
+        n = 256
+        make_lattice(8, TWO_PI)
+        tracemalloc.start()
+        try:
+            lat = make_lattice(n, TWO_PI)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # k2 and kmag in float64 and the mask in bool on the half; the arrays
+        # of one index are views of a row or a column, O(n) bytes
+        assert kept - 17 * n * (n // 2 + 1) < 64 * n
+        # and no (n, n) array, of any dtype, was made on the way
+        assert peak - kept < n * n
+        assert lat.half.k2.shape == (n, n // 2 + 1)
+
+    def test_dropped_lattices_leave_no_table_in_a_module_cache(self):
+        import gc
+        import tracemalloc
+
+        from sqglab.fields import draw_field
+
+        def draw_on_nine_sizes():
+            for n in (8, 10, 12, 16, 20, 24, 32, 48, 64):
+                lat = make_lattice(n, TWO_PI)
+                for generator in ("gaussian", "multi_mode", "dyadic_bumps"):
+                    f = draw_field(generator, lat, np.random.default_rng(n))
+                    assert f.coeffs.shape == (n, n)
+                del lat, f
+
+        # a first pass leaves numpy's own first-call state behind, untraced
+        draw_on_nine_sizes()
+        tracemalloc.start()
+        try:
+            draw_on_nine_sizes()
+            gc.collect()
+            alive = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        # the smallest lattice-sized table: n = 8, float64 on the half
+        assert [t.size for t in alive if t.size >= 8 * 8 * 5] == []
+
+
+def _reference_fold(coeffs):
+    """0.5 * (c(j) + conj(c(-j))) on columns 0 .. n/2, by an index gather."""
+    n = coeffs.shape[-1]
+    j1 = np.arange(n)[:, None]
+    j2 = np.arange(n // 2 + 1)[None, :]
+    half = np.conj(coeffs[-j1 % n, -j2 % n])
+    half += coeffs[:, : n // 2 + 1]
+    half *= 0.5
+    return half
+
+
+def _reference_expand(half, n):
+    """The full spectrum of a half one, by an index gather: columns 0 .. n/2
+    read the half, except rows n/2+1 .. n-1 of the self-paired columns 0
+    and n/2, which read conj(half(-j)) as columns n/2+1 .. n-1 do."""
+    m = n // 2 + 1
+    j1 = np.arange(n)[:, None]
+    j2 = np.arange(n)[None, :]
+    self_paired = (j2 == 0) | (j2 == m - 1)
+    direct = (j2 < m) & ~(self_paired & (j1 >= m))
+    mirrored = np.conj(half[-j1 % n, np.minimum(-j2 % n, m - 1)])
+    return np.where(direct, half[j1, np.minimum(j2, m - 1)], mirrored)
+
+
+def _signed_zeros(rng, shape):
+    """Random complex entries whose real and imaginary parts are each +-0 about 30% of the time."""
+    a = np.empty(shape, complex)
+    for part in (a.real, a.imag):
+        zero = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        part[...] = np.where(rng.random(shape) < 0.3, zero, rng.standard_normal(shape))
+    return a
+
+
+class TestSliceMirrors:
+    @pytest.mark.parametrize("n", [8, 10, 16, 64, 128])
+    def test_fold_and_expand_equal_the_index_gathers(self, n):
+        from sqglab.spectral import _expand_half, _fold_half
+
+        rng = np.random.default_rng(n)
+        m = n // 2 + 1
+        zeros = _signed_zeros(rng, (n, n))
+        for part in (zeros.real, zeros.imag):
+            zero = part == 0
+            assert (zero & np.signbit(part)).any() and (zero & ~np.signbit(part)).any()
+        for coeffs in (zeros, rng.standard_normal((n, n)) + 0j):
+            assert _fold_half(coeffs).tobytes() == _reference_fold(coeffs).tobytes()
+            half = coeffs[:, :m]  # self-paired columns that are not symmetric
+            assert not np.array_equal(half[1:, 0], np.conj(half[:0:-1, 0]))
+            assert _expand_half(half, n).tobytes() == _reference_expand(half, n).tobytes()
+            half = np.ascontiguousarray(half)
+            assert _expand_half(half, n).tobytes() == _reference_expand(half, n).tobytes()
