@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .norms import hom_norm, inhom_norm
-from .spectral import SpectralField, _read_params
+from .spectral import _half_field, _half_symbol, _read_params
 
 __all__ = [
     "gaussian_random_field",
@@ -18,11 +18,37 @@ __all__ = [
 ]
 
 
-def _finalize(lattice, coeffs, normalize):
-    # the constructor projects the raw coefficients onto a real field
-    f = SpectralField(lattice, coeffs)
+def _finalize(f, normalize):
     scale = hom_norm(f, 0.0) if normalize else 0.0
-    return f * (1.0 / scale) if scale > 0 else f
+    if scale > 0:
+        # ``f`` is the generator's own: scaled in place, and its self-paired
+        # columns completed again, it holds the bits of f * (1 / scale)
+        f.half *= 1.0 / scale
+        f._store(f.lattice, f.half)
+    return f
+
+
+def _normal_side(rng, n, envelope, mask):
+    """The :func:`sqglab.spectral._half_field` side of a complex normal spectrum.
+
+    Draws a, then b, standard normal (n, n), and returns the side of
+    c = (a + 1j * b) * envelope, then * mask unless ``mask`` is None;
+    ``envelope`` and ``mask`` are half-spectrum arrays, even in j.
+    """
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+
+    def side(at):
+        # a + 1j * b with the operands of the sum swapped, which gives the
+        # same bits, so that it is formed in place
+        coeffs = 1j * at.take(b)
+        coeffs += at.take(a)
+        coeffs *= envelope
+        if mask is not None:
+            coeffs *= mask
+        return coeffs
+
+    return side
 
 
 def gaussian_random_field(lattice, slope, rng, band_limit=True, normalize=True):
@@ -30,29 +56,43 @@ def gaussian_random_field(lattice, slope, rng, band_limit=True, normalize=True):
 
     Steep slopes keep the high-order norms used by the verification suites
     convergent under refinement.  Band-limiting to the 2/3 mask makes the
-    field safe as input to dealiased quadratic terms.
+    field safe as input to dealiased quadratic terms.  The spectrum is
+    (a + 1j * b) |xi|^(-slope), with a and b standard normal (n, n) arrays
+    drawn in that order, folded onto a real field on the half spectrum
+    (:func:`sqglab.spectral._half_field`) with the half symbol and mask, so
+    no full-layout lattice array is read.
     """
-    n = lattice.n
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    envelope = lattice.symbol_power(-float(slope))
-    coeffs = raw * envelope
-    if band_limit:
-        coeffs = coeffs * lattice.dealias_mask
-    return _finalize(lattice, coeffs, normalize)
+    envelope = _half_symbol(lattice, -float(slope))
+    mask = lattice.half.dealias_mask if band_limit else None
+    side = _normal_side(rng, lattice.n, envelope, mask)
+    return _finalize(_half_field(lattice, side), normalize)
 
 
 def multi_mode_field(lattice, modes, normalize=False):
-    """Sum of real cosine modes given as (j1, j2, amplitude, phase) tuples."""
+    """Sum of real cosine modes given as (j1, j2, amplitude, phase) tuples.
+
+    A mode puts z = (amp / 2) e^(i phase) n^2 on (j1, j2) and conj(z) on
+    (-j1, -j2); these are added in the order given, straight onto the half
+    spectrum (:func:`sqglab.spectral._half_field`).
+    """
     n = lattice.n
-    coeffs = np.zeros((n, n), dtype=np.complex128)
+    terms = []
     for j1, j2, amp, phase in modes:
         j1, j2 = int(j1), int(j2)
         if (j1, j2) == (0, 0):
             continue
         z = 0.5 * amp * np.exp(1j * phase) * n * n
-        coeffs[j1 % n, j2 % n] += z
-        coeffs[(-j1) % n, (-j2) % n] += np.conj(z)
-    return _finalize(lattice, coeffs, normalize)
+        terms += [((j1, j2), z), ((-j1, -j2), np.conj(z))]
+
+    def side(at):
+        coeffs = np.zeros(lattice.half.k2.shape, complex)
+        for mode, z in terms:
+            spot = at.index(*mode)
+            if spot is not None:
+                coeffs[spot] += z
+        return coeffs
+
+    return _finalize(_half_field(lattice, side), normalize)
 
 
 def random_multi_mode(lattice, rng, max_modes=4, max_index=3):
@@ -74,18 +114,20 @@ def dyadic_bumps_field(lattice, rng, shell_decay=2.0, normalize=True):
     """Random field supported on dyadic annuli 2^m <= |j| < 2^(m+1) of the mode index.
 
     Shell m carries weight 2^(-shell_decay * m).  The shells are the octaves
-    of the mode index below the 2/3 cutoff, the same on every box.
+    of the mode index below the 2/3 cutoff, the same on every box, and are
+    built from ``lattice.half.kmag``; the spectrum is drawn and folded as in
+    :func:`gaussian_random_field`.
     """
     n = lattice.n
     shells = max(1, int(np.log2(max(2, n // 3))))
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    envelope = np.zeros((n, n))
+    kmag = lattice.half.kmag
+    envelope = np.zeros(kmag.shape)
     for m in range(shells):
         lo = lattice.kmin * 2.0**m
-        ring = (lattice.kmag >= lo) & (lattice.kmag < 2.0 * lo)
+        ring = (kmag >= lo) & (kmag < 2.0 * lo)
         envelope[ring] = 2.0 ** (-shell_decay * m)
-    coeffs = raw * envelope * lattice.dealias_mask
-    return _finalize(lattice, coeffs, normalize)
+    side = _normal_side(rng, n, envelope, lattice.half.dealias_mask)
+    return _finalize(_half_field(lattice, side), normalize)
 
 
 def unit_mode(lattice, j1, j2, amp=1.0, phase=0.0):

@@ -540,8 +540,9 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
         raise ValueError("initial field lattice does not match the configuration")
 
     theta = dealias(theta0) if cfg.nonlinear else theta0.copy()
-    # theta.half is never written; the stepper returns each new state in one
-    # of its two state buffers, which the step after next overwrites
+    # theta.half is never written, so the record keeps theta as its initial
+    # field; the stepper returns each new state in one of its two state
+    # buffers, which the step after next overwrites
     coeffs = theta.half
     stepper = _Stepper(lat, cfg.alpha, cfg.nonlinear, cfg.dt)
     # squared L2, Hdot^a, Hdot^(2-2a), Hdot^(2-a) norms, then Hdot^1 for the
@@ -632,7 +633,7 @@ def simulate(theta0, cfg, *, _on_snapshot=None):
         series=_norm_series(samples[:, 0], samples[:, 1:5]),
         snapshot_times=snapshot_times,
         snapshots=snapshots,
-        initial=theta.copy(),
+        initial=theta,
         final=_from_half(lat, coeffs),
         cancellation=samples[:, 5].copy() if cfg.track_cancellation else None,
         aborted=abort is not None,

@@ -48,8 +48,8 @@ __all__ = [
 # Largest lattice size accepted.  The lattice keeps k2, kmag and the mask on
 # the half spectrum, 17 n (n/2 + 1) bytes (143 MB at n = 4096), and a field's
 # half spectrum takes 8 n^2 bytes, but a run's work arrays set its peak: a
-# 2-step simulate peaks at 273 MB of RSS at n = 1024, growing as n^2 to about
-# 3.8 GB at n = 4096, so a larger n cannot run in the memory of an ordinary
+# 2-step simulate peaks at 245 MB of RSS at n = 1024, growing as n^2 to about
+# 3.5 GB at n = 4096, so a larger n cannot run in the memory of an ordinary
 # machine; the check runs before anything is allocated.
 MAX_LATTICE_N = 4096
 
@@ -142,6 +142,20 @@ def _half_columns(a):
     return a[..., : a.shape[-1] // 2 + 1]
 
 
+def _mirror_gather(x, out):
+    """x(-j) on columns 0 .. n/2 of a full (n, n) array ``x``, written into ``out``.
+
+    Row -j1 is row 0, then rows n-1 .. 1, and column -j2 is column 0, then
+    columns n-1 .. n/2.
+    """
+    m = out.shape[-1]
+    out[:1, :1] = x[:1, :1]
+    out[:1, 1:] = x[:1, : m - 2 : -1]
+    out[1:, :1] = x[:0:-1, :1]
+    out[1:, 1:] = x[:0:-1, : m - 2 : -1]
+    return out
+
+
 def _fold_half(coeffs):
     """Conjugate-symmetric part of a full spectrum, on the rfft2 half spectrum.
 
@@ -151,17 +165,48 @@ def _fold_half(coeffs):
     """
     n = coeffs.shape[-1]
     m = n // 2 + 1
-    half = np.empty((n, m), complex)
-    # c(-j) on the half: row -j1 is row 0, then rows n-1 .. 1, and column
-    # -j2 is column 0, then columns n-1 .. n/2
-    half[:1, :1] = coeffs[:1, :1]
-    half[:1, 1:] = coeffs[:1, : m - 2 : -1]
-    half[1:, :1] = coeffs[:0:-1, :1]
-    half[1:, 1:] = coeffs[:0:-1, : m - 2 : -1]
-    np.conjugate(half, out=half)
-    half += coeffs[:, :m]
-    half *= 0.5
-    return half
+    return _fold(coeffs[:, :m], _mirror_gather(coeffs, np.empty((n, m), complex)))
+
+
+def _fold(direct, mirror):
+    """0.5 * (direct + conj(mirror)), formed in ``mirror`` as conj, add, halve."""
+    np.conjugate(mirror, out=mirror)
+    mirror += direct
+    mirror *= 0.5
+    return mirror
+
+
+def _half_field(lattice, side):
+    """The real field of a full spectrum c, formed one half spectrum at a time.
+
+    ``side(at)`` returns c on the rfft2 half spectrum, shape (n, n//2 + 1),
+    as a fresh complex array.  It is called twice, for c(j) and then for
+    c(-j) at the modes j of columns 0 .. n/2, and reads the full layout only
+    through ``at``: ``at.take(x)`` is a full (n, n) array ``x`` at those
+    modes, and ``at.index(j1, j2)`` is where the value c holds at mode
+    (j1, j2) goes in the array, or None if it goes nowhere.  A weight that
+    ``side`` reads on the half must be even in j, as the lattice's symbols
+    and mask are.  The two are folded as :func:`_fold_half` folds a full
+    spectrum, so the field equals ``SpectralField(lattice, c)`` bit for bit,
+    and no full-size complex array is made.
+    """
+    n = lattice.n
+    m = n // 2 + 1
+
+    def index(j1, j2):
+        j1, j2 = j1 % n, j2 % n
+        return (j1, j2) if j2 < m else None
+
+    direct = side(SimpleNamespace(take=lambda x: x[:, :m], index=index))
+    mirror = side(
+        SimpleNamespace(
+            take=lambda x: _mirror_gather(x, np.empty((n, m), x.dtype)),
+            index=lambda j1, j2: index(-j1, -j2),
+        )
+    )
+    f = object.__new__(SpectralField)
+    f._store(lattice, _fold(direct, mirror))
+    return f
 
 
 def _full_columns(half, odd=False):
@@ -239,8 +284,8 @@ class FrequencyLattice:
     def symbol_power(self, s):
         """|xi|^s per mode with the (0,0) entry set to 0, cached per finite exponent.
 
-        The full (n, n) layout, mirrored from the half for the field
-        generators; operators on half spectra read :func:`_half_symbol`.
+        The full (n, n) layout, mirrored from the half; no run path reads
+        it, since operators and field generators read :func:`_half_symbol`.
         """
         return _cached_power(self, s, full=True)
 
@@ -525,7 +570,9 @@ def _work_buffer(lat, name, shape, dtype, cached=True):
     """A kernel work buffer, or a fresh array when ``cached`` is false.
 
     Cached buffers live in one dict, ``lat._symbol_cache["kernel-work"]``,
-    keyed by ``(name, shape)``, so each lattice keeps one buffer per
+    keyed by ``(name, shape)``: the "inverse" pass of :func:`_to_physical`
+    and the "left-physical" and "right-physical" factors of
+    :func:`_quadratic_coeffs`, so each lattice keeps one buffer per
     intermediate and operand shape.  Every call writes each element it reads
     before reading it, so no value carries over from an earlier call.
     """
@@ -595,27 +642,32 @@ def _quadratic_coeffs(lat, left, right, out=None):
 
     Without ``out`` both are fresh arrays that no later call writes to.
     With ``out``, the caller's result array, the result is written into it
-    and the physical factors, their product and its partner term into work
-    buffers of :func:`_work_buffer`, so a repeated call allocates no array;
-    the physical ``left`` factors returned are then a work buffer that the
-    next call with ``out`` overwrites.  Either way the column pass
-    transforms the result in place, and every FFT and ufunc writes with
-    ``out=``.
+    and the physical factors into work buffers of :func:`_work_buffer`, so
+    a repeated call allocates no array; the physical ``left`` factors
+    returned are then a work buffer that the next call with ``out``
+    overwrites.  The products left_i * right_i are formed in the physical
+    ``right`` factors, which are never returned, when those have the
+    broadcast shape of the two, and otherwise (a ``left`` stack that
+    broadcasts over a shorter ``right``, as the bilinear lab core passes)
+    in one fresh array; terms 2 .. k are then added into the first in
+    order.  Either way the column pass transforms the result in place, and
+    every FFT and ufunc writes with ``out=``.
     """
     cached = out is not None
     n = lat.n
     keep = (n - 1) // 3 + 1  # columns 0 .. K
     left_p = _to_physical(lat, left, keep, "left-physical", cached)
     right_p = _to_physical(lat, right, keep, "right-physical", cached)
-    lead = np.broadcast_shapes(left_p.shape[:-3], right_p.shape[:-3])
-    prod = _work_buffer(lat, "product", lead + (n, n), float, cached)
-    np.multiply(left_p[..., 0, :, :], right_p[..., 0, :, :], out=prod)
-    for i in range(1, left_p.shape[-3]):
-        partner = _work_buffer(lat, "partner", prod.shape, float, cached)
-        np.add(prod, np.multiply(left_p[..., i, :, :], right_p[..., i, :, :], out=partner), out=prod)
+    # the right factors are read here for the last time: the products go
+    # into their buffer when it has the broadcast shape
+    shape = np.broadcast_shapes(left_p.shape, right_p.shape)
+    terms = np.multiply(left_p, right_p, out=right_p if right_p.shape == shape else None)
+    total = terms[..., 0, :, :]
+    for i in range(1, shape[-3]):
+        np.add(total, terms[..., i, :, :], out=total)
     if out is None:
-        out = np.empty(lead + (n, n // 2 + 1), complex)
-    np.fft.rfft(prod, axis=-1, out=out)
+        out = np.empty(shape[:-3] + (n, n // 2 + 1), complex)
+    np.fft.rfft(total, axis=-1, out=out)
     np.fft.fft(out[..., :keep], axis=-2, out=out[..., :keep])
     # +0 also where a reused ``out`` was negated; the mask keeps it +0, and
     # multiplying every column is faster than the strided kept ones

@@ -461,16 +461,16 @@ class TestLatticeReuse:
 
 class TestFullLayoutReads:
     def test_a_run_and_its_decay_pipeline_build_only_the_generators_mask(self):
-        # every operator reads the lattice's half arrays; the Gaussian
-        # generator reads the full mask, of the initial field and of the
-        # ensembles that set the decay constants on the run's lattice
+        # every operator and every field generator (of the initial field and
+        # of the ensembles that set the decay constants on the run's lattice)
+        # reads the lattice's half arrays
         cfg = run_config(t_end=0.5)
         theta0 = initial_field(cfg)
         lat = theta0.lattice
         simulate(theta0, cfg)
         decay_experiment(cfg, theta0, target=math.inf)
         names = ("modes1", "modes2", "kx", "ky", "k2", "kmag", "dealias_mask")
-        assert [name for name in names if name in vars(lat)] == ["dealias_mask"]
+        assert [name for name in names if name in vars(lat)] == []
 
 
 class TestEnsembleFamilies:

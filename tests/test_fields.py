@@ -160,3 +160,135 @@ def test_multi_mode_takes_explicit_modes_as_given_with_no_draw(lat):
     f = draw_field("multi_mode", lat, rng, {"modes": modes})
     assert f.half.tobytes() == multi_mode_field(lat, modes).half.tobytes()
     assert rng.bit_generator.state == state
+
+
+LATTICE_ARRAYS = ("modes1", "modes2", "kx", "ky", "k2", "kmag", "dealias_mask")
+
+
+def _full_gaussian(ref, slope, rng, band_limit, normalize):
+    """The Gaussian draw written out on the full (n, n) layout of ``ref``."""
+    n = ref.n
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    coeffs = (a + 1j * b) * ref.symbol_power(-float(slope))
+    if band_limit:
+        coeffs = coeffs * ref.dealias_mask
+    return _full_normalized(SpectralField(ref, coeffs), normalize)
+
+
+def _full_dyadic(ref, rng, shell_decay, normalize):
+    """The dyadic-bumps draw written out on the full (n, n) layout of ``ref``."""
+    n = ref.n
+    shells = max(1, int(np.log2(max(2, n // 3))))
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    envelope = np.zeros((n, n))
+    for m in range(shells):
+        lo = ref.kmin * 2.0**m
+        envelope[(ref.kmag >= lo) & (ref.kmag < 2.0 * lo)] = 2.0 ** (-shell_decay * m)
+    return _full_normalized(SpectralField(ref, raw * envelope * ref.dealias_mask), normalize)
+
+
+def _full_multi_mode(ref, modes, normalize):
+    """The multi-mode field written out on the full (n, n) layout of ``ref``."""
+    n = ref.n
+    coeffs = np.zeros((n, n), dtype=np.complex128)
+    for j1, j2, amp, phase in modes:
+        j1, j2 = int(j1), int(j2)
+        if (j1, j2) == (0, 0):
+            continue
+        z = 0.5 * amp * np.exp(1j * phase) * n * n
+        coeffs[j1 % n, j2 % n] += z
+        coeffs[(-j1) % n, (-j2) % n] += np.conj(z)
+    return _full_normalized(SpectralField(ref, coeffs), normalize)
+
+
+def _full_normalized(f, normalize):
+    scale = hom_norm(f, 0.0) if normalize else 0.0
+    return f * (1.0 / scale) if scale > 0 else f
+
+
+def _edge_modes(n):
+    """Modes that repeat, that cancel, that sit on the self-paired modes, and (0, 0)."""
+    h = n // 2
+    return [
+        (1, 2, 0.5, 0.3),
+        (1, 2, 0.25, 1.0),  # repeats
+        (-1, -2, 0.3, 2.0),  # lands on the same pair
+        (2, -1, 0.7, 0.0),
+        (2, -1, 0.7, np.pi),  # cancels the one before
+        (0, h, 1.0, 0.7),
+        (h, 0, 0.4, 0.1),
+        (h, h, 0.9, 2.2),
+        (-h, h, 0.6, 1.3),  # -n/2 is n/2
+        (3, -h, 0.2, 0.5),
+        (n + 1, -n - 3, 0.35, 0.4),  # indices taken mod n
+        (0, 0, 5.0, 0.0),  # the mean mode is skipped
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 64, 128, 256])
+@pytest.mark.parametrize("box_len", [TWO_PI, 3.7, 100.0])
+def test_generators_equal_their_full_layout_formulas_bit_for_bit(n, box_len):
+    lat, ref = make_lattice(n, box_len), make_lattice(n, box_len)
+    for seed, slope in [(0, 4.0), (5, 1.5), (101, 0.0)]:
+        for band_limit in (True, False):
+            for normalize in (True, False):
+                got = gaussian_random_field(
+                    lat, slope, np.random.default_rng(seed), band_limit, normalize
+                )
+                want = _full_gaussian(ref, slope, np.random.default_rng(seed), band_limit, normalize)
+                assert got.half.tobytes() == want.half.tobytes()
+        for normalize in (True, False):
+            got = dyadic_bumps_field(lat, np.random.default_rng(seed), 1.5, normalize)
+            want = _full_dyadic(ref, np.random.default_rng(seed), 1.5, normalize)
+            assert got.half.tobytes() == want.half.tobytes()
+    modes = _edge_modes(n)
+    for normalize in (True, False):
+        got = multi_mode_field(lat, modes, normalize)
+        assert got.half.tobytes() == _full_multi_mode(ref, modes, normalize).half.tobytes()
+
+
+@pytest.mark.parametrize("generator", ["gaussian", "multi_mode", "dyadic_bumps"])
+@pytest.mark.parametrize("n", [8, 64])
+def test_a_draw_leaves_no_full_layout_on_its_lattice(generator, n):
+    lat = make_lattice(n, 3.7)
+    draw_field(generator, lat, np.random.default_rng(2))
+    assert [name for name in LATTICE_ARRAYS if name in vars(lat)] == []
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        values = value.values() if isinstance(value, dict) else value
+        return [a for v in values for a in arrays(v)] if isinstance(value, (dict, tuple)) else []
+
+    assert not any(a.shape[-2:] == (n, n) for a in arrays(lat._symbol_cache))
+
+
+def test_a_gaussian_draw_makes_no_block_larger_than_a_half_spectrum():
+    """Every array alive at any bytecode of a draw at n 256, a and b included, fits in
+    one half spectrum, (n, n/2 + 1) complex: the (n, n) normal arrays a and b take
+    8 n^2 bytes, just under it, and no full-size complex array is made."""
+    import sys
+    import tracemalloc
+
+    n = 256
+    lat = make_lattice(n, TWO_PI)
+    gaussian_random_field(lat, 4.0, np.random.default_rng(0))  # caches the half symbols
+    largest = []
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+            largest.append(max(sizes, default=0))
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        f = gaussian_random_field(lat, 4.0, np.random.default_rng(1))
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    assert f.half.shape == (n, n // 2 + 1)
+    # a and b were seen, and nothing larger than a half spectrum
+    assert n * n * 8 <= max(largest) <= 16 * n * (n // 2 + 1)

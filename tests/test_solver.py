@@ -310,6 +310,47 @@ class TestSimulate:
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
         assert np.array_equal(a.cancellation, b.cancellation)
 
+    def test_the_kernel_keeps_only_its_transform_and_factor_buffers(self):
+        # the products are formed in the right factors' buffer, so a running
+        # kernel holds no product or partner buffer
+        cfg = small_config(t_end=0.1, track_cancellation=True, snapshot_every=1)
+        theta0 = initial_field(cfg)
+        lat = theta0.lattice
+        seen = []
+
+        def look(t, field):
+            seen.append(sorted({name for name, _ in lat._symbol_cache["kernel-work"]}))
+
+        simulate(theta0, cfg, _on_snapshot=look)
+        assert len(seen) == 11
+        assert all(names == ["inverse", "left-physical", "right-physical"] for names in seen)
+        assert "kernel-work" not in lat._symbol_cache
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_the_record_keeps_one_copy_of_the_initial_field(self, monkeypatch, nonlinear):
+        import sqglab.solver
+
+        steppers = []
+
+        class Recorded(sqglab.solver._Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+
+        monkeypatch.setattr(sqglab.solver, "_Stepper", Recorded)
+        cfg = small_config(t_end=0.1, nonlinear=nonlinear, snapshot_every=1)
+        theta0 = initial_field(cfg)
+        before = theta0.half.tobytes()
+        want = (dealias(theta0) if nonlinear else theta0.copy()).half.tobytes()
+        record = simulate(theta0, cfg)
+        assert theta0.half.tobytes() == before
+        assert record.initial.half.tobytes() == want
+        (stepper,) = steppers
+        buffers = [*stepper._stages, stepper._term, *stepper._states, stepper._twice_half]
+        others = [theta0.half, record.final.half, *(s.half for s in record.snapshots)]
+        for other in buffers + others:
+            assert not np.shares_memory(record.initial.half, other)
+
 
 class TestHalfSpectrumKernelPath:
     def count_kernel_calls(self, monkeypatch):
